@@ -7,8 +7,6 @@
 // cells) that queue contention is negligible.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -66,31 +64,6 @@ class ThreadPool {
     for (auto& worker : workers_) {
       if (worker.joinable()) worker.join();
     }
-  }
-
-  /// Runs fn(i) for i in [0, count) across the pool and waits for
-  /// completion. fn must be safe to call concurrently.
-  template <typename Fn>
-  void parallel_for(std::size_t count, Fn&& fn) {
-    if (count == 0) return;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    const std::size_t shards = std::min(count, size());
-    for (std::size_t s = 0; s < shards; ++s) {
-      submit([&, count] {
-        for (std::size_t i = next.fetch_add(1); i < count;
-             i = next.fetch_add(1)) {
-          fn(i);
-          done.fetch_add(1);
-        }
-        std::lock_guard lock(done_mu);
-        done_cv.notify_one();
-      });
-    }
-    std::unique_lock lock(done_mu);
-    done_cv.wait(lock, [&] { return done.load() == count; });
   }
 
  private:

@@ -25,42 +25,7 @@ constexpr int kMaxLanes = 32;
 constexpr int kI16Max = 32767;
 constexpr int kI8Max = 127;
 
-/// Same headroom pre-check as the narrow block kernels: every scoring
-/// parameter at most a quarter of the lane maximum.
-bool scheme_fits(const ScoreScheme& scheme, int lane_max) {
-  const int cap = lane_max / 4;
-  return scheme.match <= cap && -scheme.mismatch <= cap &&
-         scheme.gap_first() <= cap && scheme.gap_extend <= cap;
-}
-
-using GroupFn = void (*)(const ScoreScheme&, const PairView*, int,
-                         ScoreResult*, bool*);
-
-struct BatchDispatch {
-  GroupFn i16;
-  GroupFn i8;
-  int i16_lanes;  // group size per tier: backends differ in lane count
-  int i8_lanes;
-};
-
-BatchDispatch resolve() {
-  const SimdIsa isa = detected_simd_isa();
-  if (isa >= SimdIsa::kAvx2 && simd_backend_runnable(SimdIsa::kAvx2)) {
-    return {&simd_avx2::batch_group_i16, &simd_avx2::batch_group_i8,
-            simd_avx2::batch_i16_lanes(), simd_avx2::batch_i8_lanes()};
-  }
-  if (isa >= SimdIsa::kSse42 && simd_backend_runnable(SimdIsa::kSse42)) {
-    return {&simd_sse42::batch_group_i16, &simd_sse42::batch_group_i8,
-            simd_sse42::batch_i16_lanes(), simd_sse42::batch_i8_lanes()};
-  }
-  return {&simd_scalar::batch_group_i16, &simd_scalar::batch_group_i8,
-          simd_scalar::batch_i16_lanes(), simd_scalar::batch_i8_lanes()};
-}
-
-const BatchDispatch& batch_dispatch() {
-  static const BatchDispatch d = resolve();
-  return d;
-}
+using GroupFn = SimdBackend::BatchGroupFn;
 
 /// Exact per-pair score: one full-width block with matrix-edge borders —
 /// the same computation linear_score performs.
@@ -165,12 +130,13 @@ std::vector<ScoreResult> batch_align_scores(const ScoreScheme& scheme,
               return a < b;
             });
 
-  const BatchDispatch& d = batch_dispatch();
+  const SimdBackend& d = dispatched_simd_backend();
   std::vector<std::size_t> next;
   bool narrower_attempted = false;
 
   if (try_i8 && scheme_fits(scheme, kI8Max)) {
-    run_tier(d.i8, d.i8_lanes, scheme, pairs, pending, results, next, st);
+    run_tier(d.batch_i8, d.batch_i8_lanes, scheme, pairs, pending, results,
+             next, st);
     narrower_attempted = true;
     pending.swap(next);
     next.clear();
@@ -179,8 +145,8 @@ std::vector<ScoreResult> batch_align_scores(const ScoreScheme& scheme,
     if (narrower_attempted) {
       st.overflow_reruns += static_cast<std::int64_t>(pending.size());
     }
-    run_tier(d.i16, d.i16_lanes, scheme, pairs, pending, results, next,
-             st);
+    run_tier(d.batch_i16, d.batch_i16_lanes, scheme, pairs, pending,
+             results, next, st);
     narrower_attempted = true;
     pending.swap(next);
     next.clear();

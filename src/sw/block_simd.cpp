@@ -1,11 +1,12 @@
-// Runtime dispatcher for the SIMD block kernel.
+// Runtime dispatcher for the SIMD kernels.
 //
-// The three backend TUs each compiled block_simd_impl.hpp with different
-// -m flags; this TU (compiled with the portable baseline flags only)
-// checks the CPU once and routes compute_block_simd to the strongest
-// backend that is both (a) supported by the running CPU per cpuid and
-// (b) actually compiled with vector instructions — a backend TU built on
-// a non-x86 host reports "scalar" and is treated as such.
+// The three backend TUs each compiled block_simd_lp_impl.hpp with
+// different -m flags and filled in one SimdBackend row; this TU (compiled
+// with the portable baseline flags only) checks the CPU once and routes
+// every dispatched kernel — block and batch — to the strongest backend
+// that is both (a) supported by the running CPU per cpuid and (b)
+// actually compiled with vector instructions — a backend TU built on a
+// non-x86 host reports "scalar" and is treated as such.
 #include "sw/block_simd.hpp"
 
 #include <cstdlib>
@@ -38,39 +39,22 @@ SimdIsa apply_env_cap(SimdIsa isa) {
 
 /// What the backend TU for `level` was actually compiled with.
 SimdIsa compiled_isa(SimdIsa level) {
-  const char* name = level == SimdIsa::kAvx2    ? simd_avx2::backend_name()
-                     : level == SimdIsa::kSse42 ? simd_sse42::backend_name()
-                                                : simd_scalar::backend_name();
+  const char* name = simd_backend(level).name;
   if (std::strcmp(name, "avx2") == 0) return SimdIsa::kAvx2;
   if (std::strcmp(name, "sse4.2") == 0) return SimdIsa::kSse42;
   return SimdIsa::kScalar;
 }
 
-struct Dispatch {
-  BlockResult (*fn)(const ScoreScheme&, const BlockArgs&);
-  const char* backend;
-};
-
-Dispatch resolve() {
-  const SimdIsa isa = detected_simd_isa();
-  // Strongest backend whose compiled code the CPU can run. A backend TU
-  // that degraded at compile time (non-x86 host, unsupported -m flag)
-  // reports the weaker level and is still safe to call.
-  if (isa >= SimdIsa::kAvx2 && compiled_isa(SimdIsa::kAvx2) <= isa) {
-    return {&simd_avx2::compute_block_simd_impl,
-            simd_avx2::backend_name()};
+/// Strongest backend whose compiled code the CPU can run. A backend TU
+/// that degraded at compile time (non-x86 host, unsupported -m flag)
+/// reports the weaker level and is still safe to call.
+const SimdBackend& resolve() {
+  for (SimdIsa level : {SimdIsa::kAvx2, SimdIsa::kSse42}) {
+    if (detected_simd_isa() >= level && simd_backend_runnable(level)) {
+      return simd_backend(level);
+    }
   }
-  if (isa >= SimdIsa::kSse42 && compiled_isa(SimdIsa::kSse42) <= isa) {
-    return {&simd_sse42::compute_block_simd_impl,
-            simd_sse42::backend_name()};
-  }
-  return {&simd_scalar::compute_block_simd_impl,
-          simd_scalar::backend_name()};
-}
-
-const Dispatch& dispatch() {
-  static const Dispatch d = resolve();
-  return d;
+  return simd_scalar::kBackend;
 }
 
 }  // namespace
@@ -89,15 +73,44 @@ const char* simd_isa_name(SimdIsa isa) {
   return "scalar";
 }
 
-const char* active_simd_backend() { return dispatch().backend; }
+const SimdBackend& simd_backend(SimdIsa level) {
+  switch (level) {
+    case SimdIsa::kAvx2: return simd_avx2::kBackend;
+    case SimdIsa::kSse42: return simd_sse42::kBackend;
+    case SimdIsa::kScalar: break;
+  }
+  return simd_scalar::kBackend;
+}
 
-bool simd_backend_runnable(SimdIsa backend) {
-  return compiled_isa(backend) <= detected_simd_isa();
+const SimdBackend& dispatched_simd_backend() {
+  static const SimdBackend& backend = resolve();
+  return backend;
+}
+
+const char* active_simd_backend() { return dispatched_simd_backend().name; }
+
+bool simd_backend_runnable(SimdIsa level) {
+  return compiled_isa(level) <= detected_simd_isa();
 }
 
 BlockResult compute_block_simd(const ScoreScheme& scheme,
                                const BlockArgs& args) {
-  return dispatch().fn(scheme, args);
+  return dispatched_simd_backend().block_i32(scheme, args);
+}
+
+BlockResult compute_block_i16(const ScoreScheme& scheme,
+                              const BlockArgs& args) {
+  return dispatched_simd_backend().block_i16(scheme, args);
+}
+
+BlockResult compute_block_i8(const ScoreScheme& scheme,
+                             const BlockArgs& args) {
+  return dispatched_simd_backend().block_i8(scheme, args);
+}
+
+BlockResult compute_block_auto(const ScoreScheme& scheme,
+                               const BlockArgs& args) {
+  return dispatched_simd_backend().block_i8(scheme, args);
 }
 
 }  // namespace mgpusw::sw

@@ -1,17 +1,9 @@
-// AVX2 instantiation of the SIMD block kernel. CMake compiles this TU
-// with -mavx2 on x86 hosts; elsewhere the shim silently degrades to the
+// AVX2 instantiation of the SIMD kernels. CMake compiles this TU with
+// -mavx2 on x86 hosts; elsewhere the traits silently degrade to the
 // strongest backend the compiler offers (ultimately scalar), which keeps
-// the symbol defined and correct on every platform. The runtime
-// dispatcher consults backend_name() so it never advertises a vector ISA
+// the symbols defined and correct on every platform. The runtime
+// dispatcher consults kBackend.name so it never advertises a vector ISA
 // this TU was not actually compiled for.
 #define MGPUSW_SIMD_NS simd_avx2
 
-#include "sw/batch_simd_impl.hpp"
-#include "sw/block_simd_impl.hpp"
 #include "sw/block_simd_lp_impl.hpp"
-
-namespace mgpusw::sw::simd_avx2 {
-
-const char* backend_name() { return kSimdBackendName; }
-
-}  // namespace mgpusw::sw::simd_avx2

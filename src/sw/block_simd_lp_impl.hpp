@@ -1,11 +1,30 @@
-// Low-precision SIMD block kernel — templated over a width trait from
-// sw/simd_lp.hpp (LpI16: 16x int16, LpI8: 32x int8) and instantiated
-// once per backend TU, exactly like block_simd_impl.hpp (which must be
-// included first: the escalation entry points call the backend's int32
-// kernel).
+// The SIMD block kernel — one template over a width trait from
+// sw/simd_lp.hpp (LpI32: 8x int32, LpI16: 16x int16, LpI8: 32x int8),
+// instantiated once per backend TU (block_simd_{avx2,sse42,scalar}.cpp,
+// each defining MGPUSW_SIMD_NS first), plus the precision ladder and the
+// backend's SimdBackend table row.
 //
-// Traversal is the same skewed anti-diagonal strip walk as the 8x32
-// kernel; see block_simd_impl.hpp for the lane geometry. What differs:
+// Traversal: horizontal strips of kLanes query rows, skewed so that at
+// step t lane r holds cell (i0 + r, t - r) — all the strip's cells sit on
+// one intra-block anti-diagonal, the only dependence-free direction of
+// the Gotoh recurrences. Lane r's inputs are then:
+//
+//   left  (H, E)  = lane r   at step t-1  (same lane, previous step)
+//   up    (H, F)  = lane r-1 at step t-1  (one-lane shift-in)
+//   diag  (H)     = lane r-1 at step t-2  (one-lane shift-in)
+//
+// with lane 0 fed from the strip-above rolling row (row_h/row_f) and the
+// j == 0 column fed from the block's left border. The strip's triangular
+// fill (t < kLanes) and drain (t >= cols-1) run scalar on the same
+// lane-state arrays; the rectangular steady state runs kLanes cells per
+// iteration. The subject character for lane r is subject[t - r] — a
+// window of the block's reversed subject, so one vector load — and the
+// per-cell `match or mismatch` branch becomes cmpeq + blend against the
+// per-strip query vector (the 2-bit query profile reduces to this exact
+// lane-select for a 4-letter alphabet, no gather needed).
+//
+// The narrow widths differ from int32 in three ways, all compiled out of
+// the int32 instance (W::kExact):
 //
 //  * All arithmetic saturates. H can only saturate upwards (gains come
 //    only from `match`), so "max observed H < watermark" proves every
@@ -15,20 +34,28 @@
 //  * Borders are converted to narrow private copies on entry (H must be
 //    representable — pre-checked; E/F below the narrow range clamp to
 //    the narrow neg-inf, which can never win a max). Outputs convert
-//    back on success.
+//    back on success. The int32 instance reads and writes the caller's
+//    arrays in place instead.
 //  * Best-cell columns are tracked as per-segment offsets (kSegSteps
 //    steps per segment) and folded into full-width per-lane accumulators
 //    in traversal order, so the narrow lane type can index blocks far
-//    wider than its own range without changing tie-breaking.
+//    wider than its own range without changing tie-breaking. int32 uses
+//    one segment per strip.
+//
+// Geometry guard: blocks narrower/shorter than the lane count (plus row
+// remainders < kLanes) delegate to compute_block, which is the parity
+// oracle, so every geometry stays exact.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/error.hpp"
+#include "sw/batch_simd_impl.hpp"
 #include "sw/block.hpp"
-#include "sw/block_simd_lp.hpp"
+#include "sw/block_simd.hpp"
 #include "sw/simd_lp.hpp"
 
 namespace mgpusw::sw::MGPUSW_SIMD_NS {
@@ -50,22 +77,28 @@ Scratch<W>& scratch() {
   return s;
 }
 
-/// The scheme must leave headroom for one gap chain below the neg-inf
-/// sentinel and one match above the watermark; kMax/4 per parameter
-/// guarantees both with room to spare.
+/// The arrays a block's strips read and write: the narrow widths'
+/// scratch copies, or the caller's own border arrays for int32. Raw
+/// pointers: calling .data() inside the loops forces a reload every
+/// iteration (the row stores could alias the vectors' internals).
 template <class W>
-bool scheme_fits(const ScoreScheme& scheme) {
-  const int cap = W::kMax / 4;
-  return scheme.match <= cap && -scheme.mismatch <= cap &&
-         scheme.gap_first() <= cap && scheme.gap_extend <= cap;
-}
+struct StripIo {
+  using Elem = typename W::Elem;
+  Elem* row_h;  // rolling row: top border in, bottom border out
+  Elem* row_f;
+  const Elem* left_h;  // may alias right_h / right_e (int32 in place)
+  const Elem* left_e;
+  Elem* right_h;
+  Elem* right_e;
+  const Elem* rev_subject;  // rev_subject[k] == subject[cols-1-k]
+};
 
-/// One full strip of W::kLanes rows. Returns false when the strip's
-/// maximum H reached the saturation watermark (results may be inexact —
-/// escalate). All writes go to the narrow scratch arrays only.
+/// One full strip of W::kLanes rows: scalar fill, vector steady state,
+/// scalar drain. Returns false when a narrow strip's maximum H reached
+/// the saturation watermark (results may be inexact — escalate).
 template <class W>
 bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
-                   Scratch<W>& s, std::int64_t i0,
+                   const StripIo<W>& io, std::int64_t i0,
                    typename W::Elem strip_diag0, bool last_strip,
                    ScoreResult& best, Score& border_max) {
   using Elem = typename W::Elem;
@@ -77,29 +110,35 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
   const int gap_ext = scheme.gap_extend;
   const int match = scheme.match;
   const int mismatch = scheme.mismatch;
-  const int watermark = W::kMax - match;
 
-  Elem* const row_h = s.row_h.data();
-  Elem* const row_f = s.row_f.data();
-  // Raw pointer: calling .data() inside the loop forces a reload every
-  // iteration (the row stores above could alias the vector's internals).
-  const Elem* const rev_subject = s.rev_subject.data();
+  Elem* const row_h = io.row_h;
+  Elem* const row_f = io.row_f;
+  const Elem* const rev_subject = io.rev_subject;
 
   const auto sat = [](int x) -> Elem {
-    if (x > W::kMax) return W::kMax;
-    if (x < W::kMin) return W::kMin;
-    return static_cast<Elem>(x);
+    if constexpr (W::kExact) {
+      return x;
+    } else {
+      if (x > W::kMax) return W::kMax;
+      if (x < W::kMin) return W::kMin;
+      return static_cast<Elem>(x);
+    }
   };
 
+  // Left border and query codes captured before the drain overwrites the
+  // (possibly aliased) left/right arrays.
   alignas(32) Elem left_h_b[kL];
   alignas(32) Elem left_e_b[kL];
   alignas(32) Elem qcode[kL];
   for (int r = 0; r < kL; ++r) {
-    left_h_b[r] = s.left_h[static_cast<std::size_t>(i0) + r];
-    left_e_b[r] = s.left_e[static_cast<std::size_t>(i0) + r];
+    left_h_b[r] = io.left_h[i0 + r];
+    left_e_b[r] = io.left_e[i0 + r];
     qcode[r] = static_cast<Elem>(args.query[i0 + r]);
   }
 
+  // Rolling lane state: lane r holds its values from the previous step
+  // (h/e/f_prev) and the step before (h_prev2). Zero-initialised so the
+  // not-yet-active lanes never read indeterminate values.
   alignas(32) Elem h_prev[kL] = {};
   alignas(32) Elem h_prev2[kL] = {};
   alignas(32) Elem e_prev[kL] = {};
@@ -114,7 +153,9 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
   }
 
   // One skewed step for lanes [r_lo, r_hi], scalar, with every operation
-  // saturating exactly as the vector steady state does.
+  // saturating exactly as the vector steady state does. Descending r
+  // keeps the in-place lane rotation safe: lane r reads lane r-1's
+  // previous-step values before lane r-1 overwrites them.
   const auto scalar_step = [&](std::int64_t t, int r_lo, int r_hi) {
     for (int r = r_hi; r >= r_lo; --r) {
       const std::int64_t j = t - r;
@@ -148,8 +189,8 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
         row_f[j] = f;
       }
       if (j == cols - 1) {  // block right border
-        s.right_h[static_cast<std::size_t>(i0) + r] = h;
-        s.right_e[static_cast<std::size_t>(i0) + r] = e;
+        io.right_h[i0 + r] = h;
+        io.right_e[i0 + r] = e;
         border_max = std::max(border_max, static_cast<Score>(h));
       }
       if (static_cast<int>(h) > best_h[r]) {
@@ -170,6 +211,9 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
   Vec ve_prev = W::load(e_prev);
   Vec vf_prev = W::load(f_prev);
   const Vec vq = W::load(qcode);
+  // diag(t) equals up_h(t-1) — vh_prev(t-1) is vh_prev2(t) — so the
+  // diagonal shift-in is carried from the previous iteration instead of
+  // recomputed; only the seed needs an explicit shift.
   Vec vdiag_carry = W::shift_in(vh_prev2, row_h + kL - 1);
 
   const Vec v_gap_ext = W::broadcast(static_cast<Elem>(gap_ext));
@@ -210,6 +254,9 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
     const std::int64_t t_stop =
         std::min<std::int64_t>(cols - 1, seg_base + W::kSegSteps);
     for (; t < t_stop; ++t) {
+      // Strip-above row values at column t / t-1; the last lane's writes
+      // below trail the lane-0 reads by kL-1 columns, so these are still
+      // the previous strip's values.
       const Vec vup_h = W::shift_in(vh_prev, row_h + t);
       const Vec vup_f = W::shift_in(vf_prev, row_f + t);
       const Vec vdiag = vdiag_carry;
@@ -261,9 +308,11 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
 
   // Saturation watermark: per-lane bests cover every H computed in the
   // strip, so staying below the watermark proves no addition saturated.
-  int strip_max = -1;
-  for (int r = 0; r < kL; ++r) strip_max = std::max(strip_max, best_h[r]);
-  if (strip_max >= watermark) return false;
+  if constexpr (!W::kExact) {
+    int strip_max = -1;
+    for (int r = 0; r < kL; ++r) strip_max = std::max(strip_max, best_h[r]);
+    if (strip_max >= W::kMax - match) return false;
+  }
 
   // Cross-row reduction in ascending row order: strictly larger row
   // maxima only, so earlier rows win ties exactly as in compute_block.
@@ -275,64 +324,38 @@ bool process_strip(const ScoreScheme& scheme, const BlockArgs& args,
     }
   }
   if (last_strip) {
+    // The block's bottom row is this strip's last lane; its running row
+    // maximum is the bottom-row border maximum (H >= 0).
     border_max =
         std::max(border_max, static_cast<Score>(best_h[kL - 1]));
   }
   return true;
 }
 
+/// Converts + pre-checks the borders into the narrow scratch arrays.
+/// False when a value cannot be represented (escalate). H values must be
+/// representable (H >= 0 by the border contract); E/F below the narrow
+/// range clamp to the narrow neg-inf sentinel, which can never win a
+/// max. The range check is a separate branch-free min/max pass so both
+/// it and the conversion autovectorize — with an early-exit in the loop
+/// the compiler emits a scalar element-by-element walk, which at wide
+/// tiles costs the narrow kernels a few percent that the int32 kernel
+/// (no conversion) never pays.
 template <class W>
-BlockResult compute_block_lp(const ScoreScheme& scheme,
-                             const BlockArgs& args, bool* overflow) {
+bool stage_narrow_borders(const BlockArgs& args, std::int64_t strip_rows,
+                          Scratch<W>& s) {
   using Elem = typename W::Elem;
-  constexpr int kL = W::kLanes;
-  *overflow = false;
-
-  MGPUSW_CHECK(args.rows > 0 && args.cols > 0);
-  MGPUSW_CHECK(args.query != nullptr && args.subject != nullptr);
-  MGPUSW_CHECK(args.top_h != nullptr && args.top_f != nullptr);
-  MGPUSW_CHECK(args.left_h != nullptr && args.left_e != nullptr);
-  MGPUSW_CHECK(args.bottom_h != nullptr && args.bottom_f != nullptr);
-  MGPUSW_CHECK(args.right_h != nullptr && args.right_e != nullptr);
-
-  // Blocks without a vectorisable steady state delegate to the scalar
-  // row kernel — exact at full precision, so no overflow either way.
-  if (args.rows < kL || args.cols < 2 * kL ||
-      args.cols > (std::int64_t{1} << 30) ||
-      args.rows > (std::int64_t{1} << 30)) {
-    return compute_block(scheme, args);
-  }
-
-  if (!scheme_fits<W>(scheme)) {
-    *overflow = true;
-    return {};
-  }
-
-  const std::int64_t strip_rows = args.rows - args.rows % kL;
-  Scratch<W>& s = scratch<W>();
+  if (args.corner_h < 0 || args.corner_h > W::kMax) return false;
   // +4 elements: shift_in may load a full 32 bits at the incoming
   // element's address (see the trait contract in simd_lp.hpp), so the
   // last in-range read needs a little runway past the row.
   s.row_h.resize(static_cast<std::size_t>(args.cols) + 4);
   s.row_f.resize(static_cast<std::size_t>(args.cols) + 4);
-  s.rev_subject.resize(static_cast<std::size_t>(args.cols));
   s.left_h.resize(static_cast<std::size_t>(strip_rows));
   s.left_e.resize(static_cast<std::size_t>(strip_rows));
   s.right_h.resize(static_cast<std::size_t>(strip_rows));
   s.right_e.resize(static_cast<std::size_t>(strip_rows));
 
-  // Convert + pre-check the borders. H values must be representable
-  // (H >= 0 by the border contract); E/F below the narrow range clamp
-  // to the narrow neg-inf sentinel, which can never win a max. The
-  // range check is a separate branch-free min/max pass so both it and
-  // the conversion autovectorize — with an early-exit in the loop the
-  // compiler emits a scalar element-by-element walk, which at wide
-  // tiles costs the narrow kernels a few percent that the int32 kernel
-  // (no conversion) never pays.
-  if (args.corner_h < 0 || args.corner_h > W::kMax) {
-    *overflow = true;
-    return {};
-  }
   Score h_min = 0;
   Score h_max = 0;
   Score f_max = W::kNegInf;
@@ -341,10 +364,7 @@ BlockResult compute_block_lp(const ScoreScheme& scheme,
     h_max = std::max(h_max, args.top_h[j]);
     f_max = std::max(f_max, args.top_f[j]);
   }
-  if (h_min < 0 || h_max > W::kMax || f_max > W::kMax) {
-    *overflow = true;
-    return {};
-  }
+  if (h_min < 0 || h_max > W::kMax || f_max > W::kMax) return false;
   for (std::int64_t j = 0; j < args.cols; ++j) {
     s.row_h[static_cast<std::size_t>(j)] =
         static_cast<Elem>(args.top_h[j]);
@@ -352,57 +372,110 @@ BlockResult compute_block_lp(const ScoreScheme& scheme,
     s.row_f[static_cast<std::size_t>(j)] =
         f < W::kNegInf ? W::kNegInf : static_cast<Elem>(f);
   }
-  for (std::int64_t j = 0; j < args.cols; ++j) {
-    s.rev_subject[static_cast<std::size_t>(args.cols - 1 - j)] =
-        static_cast<Elem>(args.subject[j]);
-  }
   for (std::int64_t i = 0; i < strip_rows; ++i) {
     const Score h = args.left_h[i];
     const Score e = args.left_e[i];
-    if (h < 0 || h > W::kMax || e > W::kMax) {
-      *overflow = true;
-      return {};
-    }
+    if (h < 0 || h > W::kMax || e > W::kMax) return false;
     s.left_h[static_cast<std::size_t>(i)] = static_cast<Elem>(h);
     s.left_e[static_cast<std::size_t>(i)] =
         e < W::kNegInf ? W::kNegInf : static_cast<Elem>(e);
   }
+  return true;
+}
+
+/// Computes the block at width W. std::nullopt means a narrow width
+/// could not prove its result exact; every output array is then
+/// untouched and the caller re-runs the block wider. The int32 instance
+/// always returns a result.
+template <class W>
+std::optional<BlockResult> compute_block_lp(const ScoreScheme& scheme,
+                                            const BlockArgs& args) {
+  using Elem = typename W::Elem;
+  constexpr int kL = W::kLanes;
+
+  MGPUSW_CHECK(args.rows > 0 && args.cols > 0);
+  MGPUSW_CHECK(args.query != nullptr && args.subject != nullptr);
+  MGPUSW_CHECK(args.top_h != nullptr && args.top_f != nullptr);
+  MGPUSW_CHECK(args.left_h != nullptr && args.left_e != nullptr);
+  MGPUSW_CHECK(args.bottom_h != nullptr && args.bottom_f != nullptr);
+  MGPUSW_CHECK(args.right_h != nullptr && args.right_e != nullptr);
+
+  // Blocks without a vectorisable steady state (and the pathological
+  // > 2^30 case where a column index would not fit the lane types)
+  // delegate to the scalar row kernel — exact at full precision, so no
+  // overflow either way.
+  if (args.rows < kL || args.cols < 2 * kL ||
+      args.cols > (std::int64_t{1} << 30) ||
+      args.rows > (std::int64_t{1} << 30)) {
+    return compute_block(scheme, args);
+  }
+  if constexpr (!W::kExact) {
+    if (!scheme_fits(scheme, W::kMax)) return std::nullopt;
+  }
+
+  const std::int64_t strip_rows = args.rows - args.rows % kL;
+  Scratch<W>& s = scratch<W>();
+  // Subject codes reversed once per block (shared by every strip): turns
+  // the steady state's per-step window rotation into one vector load.
+  s.rev_subject.resize(static_cast<std::size_t>(args.cols));
+  for (std::int64_t j = 0; j < args.cols; ++j) {
+    s.rev_subject[static_cast<std::size_t>(args.cols - 1 - j)] =
+        static_cast<Elem>(args.subject[j]);
+  }
+
+  StripIo<W> io;
+  if constexpr (W::kExact) {
+    // Nothing to convert or roll back: the strips work in the caller's
+    // arrays. Seed the rolling row from the top border (alias-safe: the
+    // outputs may be the same arrays).
+    if (args.bottom_h != args.top_h) {
+      std::copy(args.top_h, args.top_h + args.cols, args.bottom_h);
+    }
+    if (args.bottom_f != args.top_f) {
+      std::copy(args.top_f, args.top_f + args.cols, args.bottom_f);
+    }
+    io = {args.bottom_h, args.bottom_f, args.left_h,   args.left_e,
+          args.right_h,  args.right_e,  s.rev_subject.data()};
+  } else {
+    if (!stage_narrow_borders<W>(args, strip_rows, s)) return std::nullopt;
+    io = {s.row_h.data(),   s.row_f.data(),   s.left_h.data(),
+          s.left_e.data(),  s.right_h.data(), s.right_e.data(),
+          s.rev_subject.data()};
+  }
 
   ScoreResult best;
   Score border_max = 0;
+  // H(strip_first_row - 1, block left border): the corner for the first
+  // strip, the saved left-border value afterwards (captured before the
+  // strip's drain overwrites the possibly aliased left/right arrays).
   Elem strip_diag0 = static_cast<Elem>(args.corner_h);
 
   std::int64_t i0 = 0;
   for (; i0 + kL <= args.rows; i0 += kL) {
-    const Elem next_strip_diag0 =
-        s.left_h[static_cast<std::size_t>(i0) + kL - 1];
-    if (!process_strip<W>(scheme, args, s, i0, strip_diag0,
+    const Elem next_strip_diag0 = io.left_h[i0 + kL - 1];
+    if (!process_strip<W>(scheme, args, io, i0, strip_diag0,
                           /*last_strip=*/i0 + kL == args.rows, best,
                           border_max)) {
-      *overflow = true;  // int32 outputs untouched: caller re-runs wide
-      return {};
+      return std::nullopt;  // int32 outputs untouched: caller re-runs wide
     }
     strip_diag0 = next_strip_diag0;
   }
 
-  // Every strip was exact — commit the narrow state to the int32
-  // borders (only now may the aliased output arrays be overwritten).
-  // The remainder sub-block's corner is left_h[i0-1], which right_h may
-  // alias (the border contract allows outputs to alias inputs), so it
-  // must be read before the commit clobbers it.
-  const Score tail_corner =
-      i0 < args.rows ? args.left_h[strip_rows - 1] : 0;
-  for (std::int64_t j = 0; j < args.cols; ++j) {
-    args.bottom_h[j] = s.row_h[static_cast<std::size_t>(j)];
-    args.bottom_f[j] = s.row_f[static_cast<std::size_t>(j)];
-  }
-  for (std::int64_t i = 0; i < strip_rows; ++i) {
-    args.right_h[i] = s.right_h[static_cast<std::size_t>(i)];
-    args.right_e[i] = s.right_e[static_cast<std::size_t>(i)];
+  if constexpr (!W::kExact) {
+    // Every strip was exact — commit the narrow state to the int32
+    // borders (only now may the aliased output arrays be overwritten).
+    for (std::int64_t j = 0; j < args.cols; ++j) {
+      args.bottom_h[j] = s.row_h[static_cast<std::size_t>(j)];
+      args.bottom_f[j] = s.row_f[static_cast<std::size_t>(j)];
+    }
+    for (std::int64_t i = 0; i < strip_rows; ++i) {
+      args.right_h[i] = s.right_h[static_cast<std::size_t>(i)];
+      args.right_e[i] = s.right_e[static_cast<std::size_t>(i)];
+    }
   }
 
-  // Remainder rows (< kL): delegate to the full-precision scalar kernel
-  // on a sub-block whose top border is the committed rolling row.
+  // Remainder rows (< kL): delegate the final short strip to the scalar
+  // kernel on a sub-block whose top border is the committed rolling row.
   if (i0 < args.rows) {
     BlockArgs sub = args;
     sub.query = args.query + i0;
@@ -416,9 +489,12 @@ BlockResult compute_block_lp(const ScoreScheme& scheme,
     sub.left_e = args.left_e + i0;
     sub.right_h = args.right_h + i0;
     sub.right_e = args.right_e + i0;
-    sub.corner_h = tail_corner;
+    sub.corner_h = strip_diag0;
     const BlockResult tail = compute_block(scheme, sub);
+    // Later rows never displace an equal earlier best (row-major ties).
     if (improves(tail.best, best)) best = tail.best;
+    // tail.border_max covers the block's bottom row plus the remainder
+    // rows' right-column values.
     border_max = std::max(border_max, tail.border_max);
   }
 
@@ -428,44 +504,39 @@ BlockResult compute_block_lp(const ScoreScheme& scheme,
   return result;
 }
 
+/// The precision ladder: compute at W, and when W cannot prove its
+/// result exact re-run the untouched block one rung wider. Each
+/// escalation counts in BlockResult::overflow_reruns. The last rung must
+/// be exact, so the ladder always ends with a result.
+template <class W, class... Wider>
+BlockResult compute_block_ladder(const ScoreScheme& scheme,
+                                 const BlockArgs& args) {
+  static_assert(sizeof...(Wider) > 0 || W::kExact,
+                "the ladder's last rung must be exact");
+  std::optional<BlockResult> result = compute_block_lp<W>(scheme, args);
+  if constexpr (sizeof...(Wider) > 0) {
+    if (!result) {
+      BlockResult wide = compute_block_ladder<Wider...>(scheme, args);
+      ++wide.overflow_reruns;
+      return wide;
+    }
+  }
+  return *result;
+}
+
 }  // namespace lp
 
-BlockResult compute_block_i16_impl(const ScoreScheme& scheme,
-                                   const BlockArgs& args, bool* overflow) {
-  return lp::compute_block_lp<LpI16>(scheme, args, overflow);
-}
-
-BlockResult compute_block_i8_impl(const ScoreScheme& scheme,
-                                  const BlockArgs& args, bool* overflow) {
-  return lp::compute_block_lp<LpI8>(scheme, args, overflow);
-}
-
-// Pinned ladders: every escalation stays on this TU's backend, so the
-// pinned registry entries ablate ISAs without mixing in dispatch policy.
-BlockResult compute_block_i16_pinned(const ScoreScheme& scheme,
-                                     const BlockArgs& args) {
-  bool overflow = false;
-  BlockResult result = compute_block_i16_impl(scheme, args, &overflow);
-  if (!overflow) return result;
-  result = compute_block_simd_impl(scheme, args);
-  result.overflow_reruns = 1;
-  return result;
-}
-
-BlockResult compute_block_i8_pinned(const ScoreScheme& scheme,
-                                    const BlockArgs& args) {
-  bool overflow = false;
-  BlockResult result = compute_block_i8_impl(scheme, args, &overflow);
-  if (!overflow) return result;
-  overflow = false;
-  result = compute_block_i16_impl(scheme, args, &overflow);
-  if (!overflow) {
-    result.overflow_reruns = 1;
-    return result;
-  }
-  result = compute_block_simd_impl(scheme, args);
-  result.overflow_reruns = 2;
-  return result;
-}
+// Constant-initialized, so the dispatcher can read it from any static
+// initializer without an ordering dependency on this TU.
+constinit const SimdBackend kBackend = {
+    kSimdBackendName,
+    &lp::compute_block_ladder<LpI32>,
+    &lp::compute_block_ladder<LpI16, LpI32>,
+    &lp::compute_block_ladder<LpI8, LpI16, LpI32>,
+    &lp::batch_group_lp<LpI16>,
+    &lp::batch_group_lp<LpI8>,
+    LpI16::kLanes,
+    LpI8::kLanes,
+};
 
 }  // namespace mgpusw::sw::MGPUSW_SIMD_NS

@@ -3,10 +3,7 @@
 #include <string>
 
 #include "base/error.hpp"
-#include "sw/block_antidiag.hpp"
 #include "sw/block_simd.hpp"
-#include "sw/block_simd_lp.hpp"
-#include "sw/block_strip.hpp"
 
 namespace mgpusw::sw {
 
@@ -15,10 +12,6 @@ const std::vector<KernelInfo>& kernel_registry() {
     std::vector<KernelInfo> table;
     table.push_back({std::string(kDefaultKernel), &compute_block,
                      "scalar row sweep (reference)"});
-    table.push_back({"antidiag", &compute_block_antidiag,
-                     "scalar anti-diagonal sweep (GPU traversal)"});
-    table.push_back({"strip4", &compute_block_strip,
-                     "4-row strip-mined scalar sweep"});
     table.push_back(
         {"simd", &compute_block_simd,
          std::string("8-lane SIMD anti-diagonal (dispatched: ") +
@@ -31,31 +24,30 @@ const std::vector<KernelInfo>& kernel_registry() {
                      "int8->int16->int32 on overflow"});
     table.push_back({"auto", &compute_block_auto,
                      "narrowest safe precision (full int8->int32 ladder)"});
-    // Pinned backends, strongest first; only the ones this CPU can run.
-    if (simd_backend_runnable(SimdIsa::kAvx2) &&
-        detected_simd_isa() >= SimdIsa::kAvx2) {
-      table.push_back({"simd-avx2", &simd_avx2::compute_block_simd_impl,
-                       "SIMD kernel pinned to the AVX2 backend"});
-      table.push_back({"simd16-avx2", &simd_avx2::compute_block_i16_pinned,
-                       "int16 ladder pinned to the AVX2 backend"});
-      table.push_back({"simd8-avx2", &simd_avx2::compute_block_i8_pinned,
-                       "int8 ladder pinned to the AVX2 backend"});
+    // Pinned backends, strongest first; only the ones this CPU can run
+    // (the scalar one always can).
+    struct Pinned {
+      SimdIsa level;
+      const char* suffix;
+      const char* label;
+    };
+    for (const Pinned& p : {Pinned{SimdIsa::kAvx2, "avx2", "AVX2"},
+                            Pinned{SimdIsa::kSse42, "sse42", "SSE4.2"},
+                            Pinned{SimdIsa::kScalar, "scalar", "scalar"}}) {
+      if (detected_simd_isa() < p.level || !simd_backend_runnable(p.level)) {
+        continue;
+      }
+      const SimdBackend& backend = simd_backend(p.level);
+      const std::string suffix = std::string("-") + p.suffix;
+      const std::string on =
+          std::string(" pinned to the ") + p.label + " backend";
+      table.push_back({"simd" + suffix, backend.block_i32,
+                       "SIMD kernel" + on});
+      table.push_back({"simd16" + suffix, backend.block_i16,
+                       "int16 ladder" + on});
+      table.push_back({"simd8" + suffix, backend.block_i8,
+                       "int8 ladder" + on});
     }
-    if (simd_backend_runnable(SimdIsa::kSse42) &&
-        detected_simd_isa() >= SimdIsa::kSse42) {
-      table.push_back({"simd-sse42", &simd_sse42::compute_block_simd_impl,
-                       "SIMD kernel pinned to the SSE4.2 backend"});
-      table.push_back({"simd16-sse42", &simd_sse42::compute_block_i16_pinned,
-                       "int16 ladder pinned to the SSE4.2 backend"});
-      table.push_back({"simd8-sse42", &simd_sse42::compute_block_i8_pinned,
-                       "int8 ladder pinned to the SSE4.2 backend"});
-    }
-    table.push_back({"simd-scalar", &simd_scalar::compute_block_simd_impl,
-                     "SIMD kernel pinned to the scalar fallback backend"});
-    table.push_back({"simd16-scalar", &simd_scalar::compute_block_i16_pinned,
-                     "int16 ladder pinned to the scalar backend"});
-    table.push_back({"simd8-scalar", &simd_scalar::compute_block_i8_pinned,
-                     "int8 ladder pinned to the scalar backend"});
     return table;
   }();
   return registry;

@@ -7,12 +7,10 @@
 // here plus nothing anywhere else.
 //
 // Registered names:
-//   row          scalar row sweep (the reference; fastest scalar on most
-//                hosts)
-//   antidiag     scalar anti-diagonal sweep (the GPU traversal)
-//   strip4       4-row strip-mined scalar sweep
-//   simd         8-lane SIMD anti-diagonal, runtime-dispatched to the
-//                strongest ISA backend the CPU supports
+//   row          scalar row sweep (the reference)
+//   simd         8-lane int32 SIMD anti-diagonal (the paper's wavefront
+//                inside a block), runtime-dispatched to the strongest
+//                ISA backend the CPU supports
 //   simd16       16-lane saturating int16 SIMD with overflow detection;
 //                escalates to the int32 simd kernel when a block might
 //                have saturated (bit-identical either way)
@@ -29,6 +27,8 @@
 //                the narrow ladders pinned per backend, same registration
 //                rule as the pinned simd-* entries
 //
+// Every simd* entry is one template (sw/block_simd_lp_impl.hpp) at one
+// lane width on one backend, or a precision ladder of those instances.
 // All entries satisfy the same contract and are bit-identical to `row`
 // (tests/sw_kernel_parity_test.cpp sweeps the whole table).
 #pragma once

@@ -1,29 +1,51 @@
-// Low-precision (int16 / int8) saturating vector shims for the narrow
-// block kernels and the inter-sequence batch kernel.
+// Portable SIMD lane traits for the block kernels and the
+// inter-sequence batch kernel: one trait per lane width, three backends.
 //
-// Same per-TU backend scheme as sw/simd.hpp (which must be included
-// first to pick the backend): each backend translation unit defines
-// MGPUSW_SIMD_NS and gets an ODR-distinct instantiation compiled with its
-// own -m flags. This header adds two width traits on top of the 8x32
-// shim:
+// The backend is selected at *compile time of the including translation
+// unit* from the compiler's feature macros:
 //
+//   * AVX2    (__AVX2__)    — 256-bit vectors;
+//   * SSE4.2  (__SSE4_2__)  — 128-bit vectors (SSE4.1 provides the
+//                             epi32/epi8 min/max/blend forms used here);
+//   * scalar  (fallback)    — plain lane arrays the autovectorizer may
+//                             still chew on; always correct, always
+//                             available, exercised on non-x86 hosts.
+//
+// Because the backend is fixed per TU, every TU that includes this header
+// must first define MGPUSW_SIMD_NS to a unique namespace token (e.g.
+// simd_avx2). The kernel templates (block_simd_lp_impl.hpp,
+// batch_simd_impl.hpp) are then instantiated once per backend in its own
+// namespace — three ODR-distinct copies of the same source, each compiled
+// with different -m flags — and the dispatcher (block_simd.cpp) picks one
+// at runtime. A TU may define MGPUSW_SIMD_FORCE_SCALAR to pin the scalar
+// backend even when the compiler would allow a vector one (the
+// dispatcher's guaranteed fallback TU does this).
+//
+// Three width traits:
+//
+//   LpI32 — 8 lanes of int32 (AVX2; SSE4.2 double-pumps two 128-bit
+//           halves; the scalar fallback emulates 8). The exact rung:
+//           plain add/sub, no saturation, no overflow detection;
 //   LpI16 — 16 lanes of int16 per 256-bit AVX2 vector (8 per native
 //           128-bit SSE4.2 vector; the scalar fallback emulates 16);
 //   LpI8  — 32 lanes of int8 (16 on SSE4.2).
 //
-// All arithmetic is *saturating* (adds/subs clamp at the type limits
-// instead of wrapping), which is what makes overflow detection possible:
-// a Smith-Waterman H value can only leave the representable range
-// upwards, saturating at kMax, and any saturated cell is >= the
-// saturation watermark (kMax - match), so a post-hoc check of the
-// maximum observed H proves whether every computed value was exact.
+// The narrow traits' arithmetic is *saturating* (adds/subs clamp at the
+// type limits instead of wrapping), which is what makes overflow
+// detection possible: a Smith-Waterman H value can only leave the
+// representable range upwards, saturating at kMax, and any saturated cell
+// is >= the saturation watermark (kMax - match), so a post-hoc check of
+// the maximum observed H proves whether every computed value was exact.
 // Down-saturation only happens on the neg-inf gap sentinels, which can
 // never win a max against a reachable value (H >= 0 keeps the H-derived
 // branch above every clamped chain), so it never changes a result.
+// LpI32 (kExact) holds every Score the kernels can produce, so its
+// adds/subs are plain adds/subs.
 //
-// The operation set mirrors sw/simd.hpp: load/store/broadcast,
-// saturating add/sub, max, compares producing all-ones lane masks, mask
-// blends, a one-lane shift-in and a last-lane extract. shift_in's
+// The operation set is the minimum the Gotoh anti-diagonal kernel needs:
+// load/store/broadcast, add/sub, max, compares producing all-ones lane
+// masks, mask blends, a one-lane shift-in (the wavefront rotation) and a
+// last-lane extract (the strip's bottom-row output). shift_in's
 // incoming-element pointer must have 4 readable bytes: the vector
 // backends fetch the element with a single 32-bit load (cheaper than a
 // sub-32-bit broadcast or insert on the shuffle port) and mask off the
@@ -34,15 +56,78 @@
 #include <cstring>
 #include <limits>
 
-#include "sw/simd.hpp"
+#ifndef MGPUSW_SIMD_NS
+#error "define MGPUSW_SIMD_NS to a unique namespace before including sw/simd_lp.hpp"
+#endif
+
+#if defined(__AVX2__) && !defined(MGPUSW_SIMD_FORCE_SCALAR)
+#define MGPUSW_SIMD_BACKEND_AVX2 1
+#include <immintrin.h>
+#elif defined(__SSE4_2__) && !defined(MGPUSW_SIMD_FORCE_SCALAR)
+#define MGPUSW_SIMD_BACKEND_SSE42 1
+#include <nmmintrin.h>
+#include <smmintrin.h>
+#endif
 
 namespace mgpusw::sw::MGPUSW_SIMD_NS {
 
+/// Steps per best-cell tracking segment for LpI32: column offsets always
+/// fit int32 (the kernels delegate blocks wider than 2^30), so one
+/// segment spans the whole strip.
+inline constexpr int kI32SegSteps = 1 << 30;
+
 #if defined(MGPUSW_SIMD_BACKEND_AVX2)
+
+inline constexpr const char* kSimdBackendName = "avx2";
+
+struct LpI32 {
+  static constexpr int kLanes = 8;
+  using Elem = std::int32_t;
+  static constexpr bool kExact = true;
+  static constexpr Elem kMax = std::numeric_limits<Elem>::max();
+  static constexpr Elem kMin = std::numeric_limits<Elem>::min();
+  static constexpr Elem kNegInf = kMin / 2;
+  static constexpr int kSegSteps = kI32SegSteps;
+
+  struct Vec {
+    __m256i v;
+  };
+
+  static Vec load(const Elem* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  static void store(Elem* p, Vec a) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a.v);
+  }
+  static Vec broadcast(Elem x) { return {_mm256_set1_epi32(x)}; }
+  static Vec adds(Vec a, Vec b) { return {_mm256_add_epi32(a.v, b.v)}; }
+  static Vec subs(Vec a, Vec b) { return {_mm256_sub_epi32(a.v, b.v)}; }
+  static Vec max(Vec a, Vec b) { return {_mm256_max_epi32(a.v, b.v)}; }
+  static Vec cmpgt(Vec a, Vec b) { return {_mm256_cmpgt_epi32(a.v, b.v)}; }
+  static Vec cmpeq(Vec a, Vec b) { return {_mm256_cmpeq_epi32(a.v, b.v)}; }
+  /// Per lane: mask ? b : a (mask lanes are all-ones or all-zero).
+  static Vec blend(Vec a, Vec b, Vec mask) {
+    return {_mm256_blendv_epi8(a.v, b.v, mask.v)};
+  }
+  /// Lane 0 <- *p, lane r <- a[r-1]: the wavefront rotation. This is on
+  /// the kernel's loop-carried chain, so merge the incoming lane with one
+  /// OR: the 0x08 permute selector zeroes the low half, so alignr leaves
+  /// lane 0 zero, and the 32-bit load puts *p in lane 0 of an otherwise
+  /// zero vector off the carried chain. An insert would split and rejoin
+  /// the 128-bit halves for 2-3 extra on-chain cycles.
+  static Vec shift_in(Vec a, const Elem* p) {
+    const __m256i low_to_high = _mm256_permute2x128_si256(a.v, a.v, 0x08);
+    const __m256i shifted = _mm256_alignr_epi8(a.v, low_to_high, 12);
+    const __m256i incoming = _mm256_castsi128_si256(_mm_loadu_si32(p));
+    return {_mm256_or_si256(shifted, incoming)};
+  }
+  static Elem extract_last(Vec a) { return _mm256_extract_epi32(a.v, 7); }
+};
 
 struct LpI16 {
   static constexpr int kLanes = 16;
   using Elem = std::int16_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 32767;
   static constexpr Elem kMin = -32768;
   /// Narrow neg-inf sentinel; one gap subtraction cannot cross zero.
@@ -100,6 +185,7 @@ struct LpI16 {
 struct LpI8 {
   static constexpr int kLanes = 32;
   using Elem = std::int8_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 127;
   static constexpr Elem kMin = -128;
   static constexpr Elem kNegInf = kMin / 2;
@@ -151,9 +237,68 @@ struct LpI8 {
 // each fits. This also keeps the per-backend benchmark comparison
 // meaningful: each ISA runs at its own register width.
 
+inline constexpr const char* kSimdBackendName = "sse4.2";
+
+/// int32 is the exception: it keeps AVX2's 8 lanes as two 128-bit
+/// halves. Its loop spills at either width, and native 4-lane vectors
+/// measured no faster while halving the cells per wavefront step.
+struct LpI32 {
+  static constexpr int kLanes = 8;
+  using Elem = std::int32_t;
+  static constexpr bool kExact = true;
+  static constexpr Elem kMax = std::numeric_limits<Elem>::max();
+  static constexpr Elem kMin = std::numeric_limits<Elem>::min();
+  static constexpr Elem kNegInf = kMin / 2;
+  static constexpr int kSegSteps = kI32SegSteps;
+
+  struct Vec {
+    __m128i lo, hi;
+  };
+
+  static Vec load(const Elem* p) {
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4))};
+  }
+  static void store(Elem* p, Vec a) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a.lo);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p + 4), a.hi);
+  }
+  static Vec broadcast(Elem x) {
+    const __m128i v = _mm_set1_epi32(x);
+    return {v, v};
+  }
+  static Vec adds(Vec a, Vec b) {
+    return {_mm_add_epi32(a.lo, b.lo), _mm_add_epi32(a.hi, b.hi)};
+  }
+  static Vec subs(Vec a, Vec b) {
+    return {_mm_sub_epi32(a.lo, b.lo), _mm_sub_epi32(a.hi, b.hi)};
+  }
+  static Vec max(Vec a, Vec b) {
+    return {_mm_max_epi32(a.lo, b.lo), _mm_max_epi32(a.hi, b.hi)};
+  }
+  static Vec cmpgt(Vec a, Vec b) {
+    return {_mm_cmpgt_epi32(a.lo, b.lo), _mm_cmpgt_epi32(a.hi, b.hi)};
+  }
+  static Vec cmpeq(Vec a, Vec b) {
+    return {_mm_cmpeq_epi32(a.lo, b.lo), _mm_cmpeq_epi32(a.hi, b.hi)};
+  }
+  static Vec blend(Vec a, Vec b, Vec mask) {
+    return {_mm_blendv_epi8(a.lo, b.lo, mask.lo),
+            _mm_blendv_epi8(a.hi, b.hi, mask.hi)};
+  }
+  static Vec shift_in(Vec a, const Elem* p) {
+    const __m128i hi = _mm_alignr_epi8(a.hi, a.lo, 12);  // [lo3, hi0..hi2]
+    const __m128i lo =
+        _mm_or_si128(_mm_slli_si128(a.lo, 4), _mm_loadu_si32(p));
+    return {lo, hi};
+  }
+  static Elem extract_last(Vec a) { return _mm_extract_epi32(a.hi, 3); }
+};
+
 struct LpI16 {
   static constexpr int kLanes = 8;
   using Elem = std::int16_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 32767;
   static constexpr Elem kMin = -32768;
   static constexpr Elem kNegInf = kMin / 2;
@@ -195,6 +340,7 @@ struct LpI16 {
 struct LpI8 {
   static constexpr int kLanes = 16;
   using Elem = std::int8_t;
+  static constexpr bool kExact = false;
   static constexpr Elem kMax = 127;
   static constexpr Elem kMin = -128;
   static constexpr Elem kNegInf = kMin / 2;
@@ -233,14 +379,18 @@ struct LpI8 {
 
 #else  // scalar fallback
 
+inline constexpr const char* kSimdBackendName = "scalar";
+
 namespace lp_detail {
 
-/// Shared scalar implementation of the saturating lane ops; the
-/// autovectorizer may still turn these loops into vector code.
+/// Shared scalar implementation of the lane ops — saturating for the
+/// narrow widths, plain for int32; the autovectorizer may still turn
+/// these loops into vector code.
 template <typename E, int N, int Seg>
 struct ScalarLp {
   static constexpr int kLanes = N;
   using Elem = E;
+  static constexpr bool kExact = sizeof(E) == sizeof(std::int32_t);
   static constexpr Elem kMax = std::numeric_limits<E>::max();
   static constexpr Elem kMin = std::numeric_limits<E>::min();
   static constexpr Elem kNegInf = static_cast<E>(kMin / 2);
@@ -250,10 +400,16 @@ struct ScalarLp {
     Elem lane[N];
   };
 
+  /// Narrow widths clamp; int32 never leaves its range, and an int sum
+  /// could not show it if it did.
   static Elem sat(int x) {
-    if (x > kMax) return kMax;
-    if (x < kMin) return kMin;
-    return static_cast<Elem>(x);
+    if constexpr (kExact) {
+      return x;
+    } else {
+      if (x > kMax) return kMax;
+      if (x < kMin) return kMin;
+      return static_cast<Elem>(x);
+    }
   }
   static Vec load(const Elem* p) {
     Vec r;
@@ -315,6 +471,7 @@ struct ScalarLp {
 
 }  // namespace lp_detail
 
+using LpI32 = lp_detail::ScalarLp<std::int32_t, 8, kI32SegSteps>;
 using LpI16 = lp_detail::ScalarLp<std::int16_t, 16, 16384>;
 using LpI8 = lp_detail::ScalarLp<std::int8_t, 32, 96>;
 

@@ -363,15 +363,6 @@ TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
   pool.wait_idle();  // must not hang
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  base::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(50);
-  pool.parallel_for(50, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& hit : hits) {
-    EXPECT_EQ(hit.load(), 1);
-  }
-}
-
 TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
   base::ThreadPool pool(1);
   pool.shutdown();

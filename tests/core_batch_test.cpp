@@ -1,6 +1,6 @@
 // Batch scheduler tests: the central property is that running a batch
 // concurrently (any devices_per_item / max_in_flight split) produces
-// bit-identical per-item results to the sequential legacy path — the
+// bit-identical per-item results to the sequential whole-fleet path — the
 // engine's reduction is a total order, so per-item scores cannot depend
 // on how the fleet was shared.
 #include <gtest/gtest.h>
@@ -108,28 +108,6 @@ TEST(BatchPropertyTest, ConcurrentMatchesSequential) {
       }
     }
   }
-}
-
-TEST(BatchTest, LegacyOverloadMatchesFleetPath) {
-  const std::vector<BatchItem> items = test_items();
-  std::vector<std::unique_ptr<vgpu::Device>> owned;
-  std::vector<vgpu::Device*> pointers;
-  for (int d = 0; d < 2; ++d) {
-    owned.push_back(
-        std::make_unique<vgpu::Device>(vgpu::toy_device(10.0)));
-    pointers.push_back(owned.back().get());
-  }
-  const BatchResult legacy = run_batch(small_config(), pointers, items);
-  EXPECT_GT(legacy.wall_seconds, 0.0);
-  EXPECT_GT(legacy.total_seconds, 0.0);
-  EXPECT_GT(legacy.gcups(), 0.0);
-  EXPECT_GT(legacy.summed_gcups(), 0.0);
-
-  DeviceFleet fleet(pointers);
-  BatchConfig config;
-  config.engine = small_config();
-  const BatchResult direct = run_batch(config, fleet, items);
-  expect_identical(direct, legacy);
 }
 
 TEST(BatchTest, JobLabelThreadedThroughProgress) {

@@ -1,5 +1,5 @@
 // Tests for the retrieval pipeline, batch runner, progress reporting,
-// disk-spilled special rows and the anti-diagonal kernel inside the
+// disk-spilled special rows and a SIMD anti-diagonal kernel inside the
 // engine.
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include "base/error.hpp"
 #include "core/batch.hpp"
 #include "core/engine.hpp"
+#include "core/fleet.hpp"
 #include "core/pipeline.hpp"
 #include "core/special_rows.hpp"
 #include "sw/linear.hpp"
@@ -92,7 +93,8 @@ TEST_P(PipelineProperty, ScoreAndOpsConsistent) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineProperty, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// engine with the anti-diagonal kernel
+// engine with a non-default anti-diagonal kernel (simd16: the SIMD
+// wavefront at int16, escalating to int32 on overflow)
 
 class AntidiagEngine : public ::testing::TestWithParam<int> {};
 
@@ -104,7 +106,7 @@ TEST_P(AntidiagEngine, MatchesRowScanKernel) {
   vgpu::Device d1(vgpu::toy_device(20.0));
 
   EngineConfig config = small_config();
-  config.kernel = "antidiag";
+  config.kernel = "simd16";
   core::MultiDeviceEngine engine(config, {&d0, &d1});
   EXPECT_EQ(engine.run(a, b).best,
             sw::linear_score(config.scheme, a, b));
@@ -235,9 +237,19 @@ TEST_F(DiskStoreTest, GapDetectedOnDisk) {
 // ---------------------------------------------------------------------------
 // batch runner
 
+/// The paper's evaluation mode: every item spans the whole fleet, one
+/// item at a time.
+core::BatchConfig sequential_batch() {
+  core::BatchConfig config;
+  config.engine = small_config();
+  config.devices_per_item = 0;
+  config.max_in_flight = 1;
+  return config;
+}
+
 TEST(BatchTest, RunsAllItemsAndAggregates) {
-  vgpu::Device d0(vgpu::toy_device(10.0));
-  vgpu::Device d1(vgpu::toy_device(20.0));
+  core::DeviceFleet fleet = core::DeviceFleet::from_specs(
+      {vgpu::toy_device(10.0), vgpu::toy_device(20.0)});
 
   std::vector<core::BatchItem> items;
   for (int seed = 0; seed < 3; ++seed) {
@@ -247,7 +259,7 @@ TEST(BatchTest, RunsAllItemsAndAggregates) {
                                     std::move(a), std::move(b)});
   }
   const core::BatchResult batch =
-      core::run_batch(small_config(), {&d0, &d1}, items);
+      core::run_batch(sequential_batch(), fleet, items);
 
   ASSERT_EQ(batch.items.size(), 3u);
   std::int64_t cells = 0;
@@ -263,8 +275,9 @@ TEST(BatchTest, RunsAllItemsAndAggregates) {
 }
 
 TEST(BatchTest, EmptyBatchThrows) {
-  vgpu::Device device(vgpu::toy_device(10.0));
-  EXPECT_THROW((void)core::run_batch(small_config(), {&device}, {}),
+  core::DeviceFleet fleet =
+      core::DeviceFleet::from_specs({vgpu::toy_device(10.0)});
+  EXPECT_THROW((void)core::run_batch(sequential_batch(), fleet, {}),
                InvalidArgument);
 }
 
