@@ -68,7 +68,7 @@ class ProtocolError : public TransientError {
 };
 
 /// Cooperative interruption: a runner observed EngineConfig::stop_request
-/// raised at a scheduling-unit boundary. The dynamic load rebalancer uses
+/// raised at a block-row boundary. The dynamic load rebalancer uses
 /// this to stop a mis-split run so the remaining rows can be re-split;
 /// everything completed before the stop is intact, so a restart from the
 /// newest checkpoint is always safe — hence transient.

@@ -40,10 +40,11 @@ std::vector<double> calibrate_weights(
   std::vector<sw::Score> col_e(static_cast<std::size_t>(sample_rows));
 
   // Timing discipline borrowed from bench/micro_kernels: one unclocked
-  // warmup sweep (first-touch pages, cold caches, lazily started worker
-  // threads), then the minimum over a few timed repetitions. A single
-  // cold-start-skewed sample here would seed a bad initial split that
-  // the whole run (or a rebalance restart) then pays for.
+  // warmup sweep (first-touch pages, cold caches), then the minimum over
+  // a few timed repetitions. A single cold-start-skewed sample here
+  // would seed a bad initial split that the whole run (or a rebalance
+  // restart) then pays for. Each sweep runs inline on the calling thread
+  // and pays the device's throttle through account_kernel.
   constexpr int kTimedReps = 3;
 
   std::vector<double> weights;
@@ -74,13 +75,10 @@ std::vector<double> calibrate_weights(
       std::fill(row_f.begin(), row_f.end(), sw::kNegInf);
       std::fill(col_h.begin(), col_h.end(), 0);
       std::fill(col_e.begin(), col_e.end(), sw::kNegInf);
-      device->execute([&] {
-        base::WallTimer kernel_timer;
-        (void)fn(scheme, args);
-        device->account_kernel(kernel_timer.elapsed_ns(),
-                               sample_rows * sample_cols);
-      });
-      device->synchronize();
+      base::WallTimer kernel_timer;
+      (void)fn(scheme, args);
+      device->account_kernel(kernel_timer.elapsed_ns(),
+                             sample_rows * sample_cols);
     };
 
     sweep();  // warmup, unclocked

@@ -33,7 +33,7 @@ struct BatchItem {
   int priority = 0;
   /// Optional cancel flag (owned by the caller, e.g. the service's job
   /// record). When raised, the item's engine stops at the next
-  /// scheduling-unit boundary with InterruptedError — recovery does not
+  /// block-row boundary with InterruptedError — recovery does not
   /// restart a cancelled item.
   std::atomic<bool>* cancel = nullptr;
 

@@ -54,7 +54,6 @@ struct EngineConfig {
   std::int64_t block_cols = 512;   // block width (subject direction)
   std::int64_t buffer_capacity = 16;  // circular buffer size, in chunks
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
 
   /// Block kernel, by registry name (sw::kernel_registry(); e.g. "row",
   /// "simd", "simd16", "simd8", "auto"). Every kernel produces
@@ -115,7 +114,7 @@ struct EngineConfig {
   /// that raises the flag and turns the stop into a re-split restart.
   RebalancePolicy rebalance;
 
-  /// Cooperative stop flag, polled by every runner at scheduling-unit
+  /// Cooperative stop flag, polled by every runner at block-row
   /// boundaries; raising it makes the run fail with InterruptedError
   /// (transient — restartable from the newest checkpoint). Borrowed;
   /// null disables the check.
@@ -177,7 +176,7 @@ class MultiDeviceEngine {
   /// (checkpoint_row, end). The returned best covers the *resumed region
   /// only*; combine it with the best recorded before the interruption
   /// using sw::improves. checkpoint_row must lie on a block-row boundary
-  /// ((row + 1) % block_rows == 0). Both schedules are supported.
+  /// ((row + 1) % block_rows == 0).
   [[nodiscard]] EngineResult resume(const seq::Sequence& query,
                                     const seq::Sequence& subject,
                                     const SpecialRowStore& checkpoints,

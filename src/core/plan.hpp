@@ -33,26 +33,6 @@ enum class Transport {
   kTcp,        // loopback TCP sockets with the same framing
 };
 
-/// How a device orders the blocks of its slice. Both orders respect the
-/// DP dependencies and produce identical results; they differ in
-/// pipeline behaviour:
-///   * kRowMajor (default) — fine-grain pipelining: the border chunk for
-///     block row i ships as soon as row i is done, so a downstream device
-///     lags its neighbour by one block row. This matches the paper's
-///     communication-hiding design. Within a device, blocks execute
-///     sequentially.
-///   * kDiagonal — CUDAlign-style external block diagonals with a barrier
-///     per diagonal; blocks within a diagonal are independent and run
-///     concurrently on the device's worker pool. Maximises intra-device
-///     parallelism but delays border chunks (chunk i completes only with
-///     diagonal i + nbc - 1), lengthening the pipeline fill/drain.
-/// The schedule ablation benchmark (bench/ablation_schedule) quantifies
-/// the difference.
-enum class Schedule {
-  kRowMajor,
-  kDiagonal,
-};
-
 /// One device's share of the plan.
 struct SlicePlan {
   ColumnRange slice;               // contiguous subject columns
@@ -75,7 +55,6 @@ struct PlanRequest {
   std::int64_t block_cols = 512;
   std::int64_t buffer_capacity = 16;
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
   std::string default_kernel{sw::kDefaultKernel};
   std::vector<double> weights;
   std::vector<std::string> device_kernels;
@@ -91,7 +70,6 @@ struct AlignmentPlan {
   std::int64_t block_row_count = 0;  // nbr, shared by every slice
   std::int64_t buffer_capacity = 0;
   Transport transport = Transport::kInProcess;
-  Schedule schedule = Schedule::kRowMajor;
   std::int64_t start_block_row = 0;
   std::vector<SlicePlan> devices;
 
@@ -101,11 +79,6 @@ struct AlignmentPlan {
   [[nodiscard]] std::size_t channel_count() const {
     return devices.empty() ? 0 : devices.size() - 1;
   }
-
-  /// Scheduling units device d steps through (block rows in kRowMajor,
-  /// external diagonals in kDiagonal) — the denominator of progress
-  /// reporting.
-  [[nodiscard]] std::int64_t schedule_units(std::size_t device) const;
 
   bool operator==(const AlignmentPlan&) const = default;
 };

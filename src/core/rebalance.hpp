@@ -8,8 +8,8 @@
 //
 //   SliceRunner ──ProgressEvent{cells, busy_ns}──► RebalanceController
 //        ▲                                              │
-//        │    stop_request (checked at scheduling-      │ observed rates
-//        │    unit boundaries, throws InterruptedError) │ diverge from the
+//        │    stop_request (checked at block-row        │ observed rates
+//        │    boundaries, throws InterruptedError)      │ diverge from the
 //        └──────────────────────────────────────────────┘ planned shares
 //
 // run_with_recovery owns the controller: when it trips, the run stops
@@ -39,8 +39,7 @@ namespace mgpusw::core {
 struct RebalancePolicy {
   bool enabled = false;
   /// Evaluate the split every time the *slowest* device has completed
-  /// this many further scheduling units (block rows under kRowMajor,
-  /// external diagonals under kDiagonal).
+  /// this many further block rows.
   std::int64_t check_every_rows = 8;
   /// Hysteresis threshold: re-split only when the projected makespan of
   /// the current split exceeds a perfectly proportional one by this
@@ -101,7 +100,7 @@ class RebalanceController {
   /// mutex, a few integer updates).
   void observe(const ProgressEvent& event);
 
-  /// The flag the engine's runners poll at scheduling-unit boundaries.
+  /// The flag the engine's runners poll at block-row boundaries.
   [[nodiscard]] std::atomic<bool>* stop_flag() { return &stop_; }
 
   [[nodiscard]] bool stop_requested() const {

@@ -2,17 +2,18 @@
 // alignment.
 //
 // A SliceRunner owns the O(m + n_slice) border state of one slice and
-// drives the block wavefront over it. The cross-cutting concerns are
-// split into named components with unit-testable seams:
+// drives the block wavefront over it in the paper's fine-grain pipeline
+// order: block rows in sequence, columns left to right, each block
+// computed inline on the device's driver thread, and the border chunk of
+// row i shipped the moment row i completes. The cross-cutting concerns
+// are split into named components with unit-testable seams:
 //
 //   * BorderExchange    — receive/send of border chunks over the
 //                         neighbour channels, with sequencing checks
 //                         and stall accounting;
 //   * BlockPruner       — the CUDAlign-2.1 upper-bound pruning decision
 //                         (pure arithmetic, no state);
-//   * SpecialRowCapture — checkpoint rows saved every k-th block row;
-//   * RowMajorSchedule / DiagonalSchedule — the two block orderings
-//                         (fine-grain pipeline vs external diagonals).
+//   * SpecialRowCapture — checkpoint rows saved every k-th block row.
 //
 // The engine (core/engine.cpp) builds one runner per device from an
 // AlignmentPlan and joins them; nothing in this layer knows about device
@@ -23,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -45,11 +45,14 @@ class Histogram;
 namespace mgpusw::core {
 
 /// Progress notification, emitted by each device's driver thread after
-/// every completed scheduling unit (block row in kRowMajor, external
-/// diagonal in kDiagonal).
+/// every completed block row of its slice.
 struct ProgressEvent {
   int device_index = 0;
+  /// Block rows of the matrix done, counted from row 0: a run resumed at
+  /// start_block_row reports its first event as start_block_row + 1.
   std::int64_t completed_units = 0;
+  /// Block rows of the matrix (AlignmentPlan::block_row_count); the
+  /// attempt itself computes block_row_count - start_block_row of them.
   std::int64_t total_units = 0;
   std::int64_t device_cells_done = 0;
   /// Monotonic timestamp: steady-clock nanoseconds since the run's
@@ -79,11 +82,11 @@ struct ProgressEvent {
   /// Highest matrix row fully settled from this device's point of view:
   /// every block row at or below it is computed (or was settled by the
   /// resume predecessor this attempt seeded from). -1 until the first
-  /// unit completes. min() over an attempt's devices is crash-safe: a
+  /// block row completes. min() over an attempt's devices is crash-safe: a
   /// restart from that row plus `best` reproduces the final result.
   std::int64_t safe_row = -1;
   /// This device's running best (merged across its computed blocks this
-  /// attempt). Valid whenever safe_row >= 0 or units completed.
+  /// attempt). Valid whenever safe_row >= 0 or block rows completed.
   sw::ScoreResult best;
 };
 
@@ -124,7 +127,6 @@ struct RunnerContext {
   sw::ScoreScheme scheme;
   std::int64_t block_rows = 512;
   std::int64_t block_cols = 512;
-  Schedule schedule = Schedule::kRowMajor;
   bool enable_pruning = false;
   std::int64_t special_row_interval = 0;
   SpecialRowStore* special_rows = nullptr;
@@ -136,7 +138,7 @@ struct RunnerContext {
   int device_count = 1;
 
   /// Cooperative stop flag (EngineConfig::stop_request): polled at every
-  /// scheduling-unit boundary; when raised, the runner throws
+  /// block-row boundary; when raised, the runner throws
   /// InterruptedError so the run unwinds restartably. Null disables.
   std::atomic<bool>* stop_request = nullptr;
 
@@ -148,17 +150,11 @@ struct RunnerContext {
       std::chrono::steady_clock::now();
 };
 
-/// Result of one block task, reduced by the driver after each scheduling
-/// unit.
+/// Result of one block, folded into the runner's stats and best.
 struct TaskOutcome {
   sw::BlockResult block;
   std::int64_t cells = 0;
   bool pruned = false;
-  bool valid = false;
-  /// Exception thrown by compute_one on a device worker thread
-  /// (DiagonalSchedule): captured there — a throw would escape the
-  /// thread pool and terminate — and rethrown by the driver's reduce.
-  std::exception_ptr error;
 };
 
 /// Largest incoming-border H value of a block: the seed of the pruning
@@ -205,9 +201,9 @@ class SpecialRowCapture {
                     bool save_f)
       : interval_(interval), store_(store), save_f_(save_f) {}
 
-  /// Attaches tracing/metrics. `profiler` must be null unless save()
-  /// always runs on the profiler's driver thread (the runner passes it
-  /// only for inline execution).
+  /// Attaches tracing/metrics. save() runs on the driver thread that owns
+  /// `profiler` (null = no phase profiling) and charges it the
+  /// checkpoint phase.
   void set_obs(const obs::Scope& scope, obs::PhaseProfiler* profiler) {
     scope_ = scope;
     profiler_ = profiler;
@@ -282,24 +278,8 @@ class BorderExchange {
   obs::Histogram* border_wait_ms_ = nullptr;
 };
 
-class SliceRunner;
-
-/// Fine-grain pipeline order: block rows in sequence, columns left to
-/// right; chunk i ships the moment row i completes (the paper's overlap
-/// behaviour). Blocks run inline on the driver thread.
-struct RowMajorSchedule {
-  void run(SliceRunner& runner) const;
-};
-
-/// CUDAlign-style external block diagonals with a barrier per diagonal;
-/// blocks of one diagonal run concurrently on the device's workers.
-struct DiagonalSchedule {
-  void run(SliceRunner& runner) const;
-};
-
-/// Executes one device's column slice: owns the border state, computes
-/// blocks through the resolved kernel, and delegates ordering to the
-/// schedule named by the plan.
+/// Executes one device's column slice: owns the border state and computes
+/// its blocks through the resolved kernel in fine-grain pipeline order.
 class SliceRunner {
  public:
   /// `slice_plan` and `block_row_count` come from the AlignmentPlan;
@@ -324,26 +304,25 @@ class SliceRunner {
   void snapshot_initial_busy() { initial_busy_ns_ = device_.busy_ns(); }
 
  private:
-  friend struct RowMajorSchedule;
-  friend struct DiagonalSchedule;
-
   void init_borders();
-  void compute_one(std::int64_t i, std::int64_t j, TaskOutcome& outcome);
-  void reduce_outcome(TaskOutcome& outcome);
+  /// Receives, computes, checkpoints and ships the slice's block rows
+  /// from start_block_row_ down, one row at a time.
+  void run_rows();
+  [[nodiscard]] TaskOutcome compute_one(std::int64_t i, std::int64_t j);
+  void reduce_outcome(const TaskOutcome& outcome);
   void publish_best();
   /// `settled_block_rows` counts block rows of the matrix (from row 0,
   /// including rows settled by the resume predecessor) whose every block
-  /// in this slice is complete — the durability cursor behind
-  /// ProgressEvent::safe_row.
-  void notify_progress(std::int64_t completed, std::int64_t total,
-                       std::int64_t settled_block_rows);
+  /// in this slice is complete — ProgressEvent::completed_units and the
+  /// durability cursor behind ProgressEvent::safe_row.
+  void notify_progress(std::int64_t settled_block_rows);
 
   /// Throws InterruptedError when the engine's cooperative stop flag is
-  /// raised. The schedules call it at unit boundaries only, so every
+  /// raised. run_rows() calls it at block-row boundaries only, so every
   /// block (and checkpoint segment) completed so far stays intact.
   void throw_if_stop_requested() const;
 
-  /// One-branch phase hook used by the schedules.
+  /// One-branch phase hook used by run_rows().
   void phase(obs::Phase next) {
     if (profile_) profiler_.switch_to(next);
   }

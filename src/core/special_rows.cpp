@@ -7,6 +7,7 @@
 
 #include "base/crc32.hpp"
 #include "base/error.hpp"
+#include "base/log.hpp"
 
 namespace mgpusw::core {
 
@@ -141,9 +142,8 @@ std::vector<SpecialRowStore::Segment> SpecialRowStore::row_segments(
   return it->second;
 }
 
-std::vector<sw::Score> SpecialRowStore::assemble(
-    std::int64_t row, std::int64_t expected_cols, bool want_f) const {
-  std::lock_guard lock(mu_);
+std::vector<SpecialRowStore::Segment> SpecialRowStore::latest_segments(
+    std::int64_t row) const {
   // A resumed run re-saves the segments of rows it recomputes; the
   // latest write wins (CUDAlign overwrites its special-row files too).
   std::map<std::int64_t, Segment> by_col;
@@ -156,6 +156,25 @@ std::vector<sw::Score> SpecialRowStore::assemble(
   for (auto& [col, segment] : by_col) {
     segments.push_back(std::move(segment));
   }
+  return segments;
+}
+
+bool SpecialRowStore::restartable(const std::vector<Segment>& segments,
+                                  std::int64_t expected_cols) {
+  std::int64_t next = 0;
+  for (const Segment& segment : segments) {
+    if (segment.first_col != next || segment.f.size() != segment.h.size()) {
+      return false;
+    }
+    next += static_cast<std::int64_t>(segment.h.size());
+  }
+  return next == expected_cols;
+}
+
+std::vector<sw::Score> SpecialRowStore::assemble(
+    std::int64_t row, std::int64_t expected_cols, bool want_f) const {
+  std::lock_guard lock(mu_);
+  const std::vector<Segment> segments = latest_segments(row);
   std::vector<sw::Score> out;
   out.reserve(static_cast<std::size_t>(expected_cols));
   std::int64_t next = 0;
@@ -193,14 +212,16 @@ std::int64_t SpecialRowStore::last_restartable_row(
   const std::vector<std::int64_t> saved = rows();
   for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
     if (*it >= limit_row) continue;
+    std::lock_guard lock(mu_);
     try {
-      (void)assemble_row_f(*it, expected_cols);
-      return *it;
-    } catch (const Error& e) {
-      // Incomplete, F-less, or failing its CRC: fall back to an older
-      // checkpoint instead of aborting the whole recovery.
-      std::fprintf(stderr, "mgpusw: skipping special row %lld: %s\n",
-                   static_cast<long long>(*it), e.what());
+      if (restartable(latest_segments(*it), expected_cols)) return *it;
+      MGPUSW_LOG(kInfo) << "special row " << *it
+                        << " is incomplete or lacks F; trying an older one";
+    } catch (const IoError& e) {
+      // A damaged disk row: fall back to an older checkpoint instead of
+      // aborting the whole recovery.
+      MGPUSW_LOG(kWarn) << "skipping special row " << *it << ": "
+                        << e.what();
     }
   }
   return -1;

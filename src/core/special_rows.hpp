@@ -55,10 +55,12 @@ class SpecialRowStore {
 
   /// Largest saved row below `limit_row` that can seed a restart: its
   /// segments tile [0, expected_cols) exactly and every segment carries
-  /// F data. Rows that fail the probe — incomplete (the run died while
-  /// devices were still saving), missing F, or failing the disk CRC —
-  /// are skipped, so recovery falls back to the newest *intact*
-  /// checkpoint. Returns -1 when no row qualifies.
+  /// F data. Rows that fail the probe are skipped, so recovery falls back
+  /// to the newest *intact* checkpoint: an incomplete row (the run died
+  /// while devices were still saving) or one without F is expected and
+  /// logged at info level; a disk row failing its CRC or read is logged
+  /// as a warning. Never throws for a bad row. Returns -1 when no row
+  /// qualifies.
   [[nodiscard]] std::int64_t last_restartable_row(
       std::int64_t expected_cols,
       std::int64_t limit_row =
@@ -106,6 +108,13 @@ class SpecialRowStore {
                       const std::vector<sw::Score>& f);
   [[nodiscard]] std::vector<Segment> read_from_disk(std::int64_t row) const;
   [[nodiscard]] std::vector<Segment> row_segments(std::int64_t row) const;
+  /// The row's segments sorted by column, the latest save per column
+  /// winning. Caller holds mu_.
+  [[nodiscard]] std::vector<Segment> latest_segments(std::int64_t row) const;
+  /// True when `segments` (sorted) tile [0, expected_cols) without gaps
+  /// and every one carries F data.
+  [[nodiscard]] static bool restartable(const std::vector<Segment>& segments,
+                                        std::int64_t expected_cols);
   [[nodiscard]] std::vector<sw::Score> assemble(std::int64_t row,
                                                 std::int64_t expected_cols,
                                                 bool want_f) const;

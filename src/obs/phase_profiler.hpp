@@ -11,10 +11,10 @@
 // shows border-recv-bound — and is asserted in tests (phase sums ==
 // wall time within tolerance).
 //
-// Driver-thread only: not thread-safe, by design. Under the diagonal
-// schedule with multiple device workers, kernel time runs off-thread
-// and the driver's "compute" phase covers launch + synchronize; the
-// DeviceRunStats busy_ns field remains the kernel-side truth.
+// Driver-thread only: not thread-safe, by design. Block kernels run
+// inline on the driver thread, so the "compute" phase covers them
+// (throttle penalty included) and DeviceRunStats::busy_ns counts the
+// same kernels from the device side.
 #pragma once
 
 #include <array>
@@ -24,7 +24,7 @@
 namespace mgpusw::obs {
 
 enum class Phase : std::uint8_t {
-  kCompute,     // block kernels (launch + inline execution)
+  kCompute,     // block kernels, run inline
   kBorderRecv,  // blocked on the upstream border source
   kBorderSend,  // blocked on the downstream border sink
   kCheckpoint,  // special-row persistence

@@ -207,7 +207,7 @@ JobState JobQueue::cancel(std::int64_t job_id) {
     }
     case JobState::kRunning:
       // Cooperative: the engine observes the flag at the next
-      // scheduling-unit boundary; the scheduler thread then calls
+      // block-row boundary; the scheduler thread then calls
       // finish(kCancelled). The state reported here is still kRunning.
       job->cancel.store(true, std::memory_order_relaxed);
       break;

@@ -10,7 +10,7 @@
 // Cancel semantics by state:
 //   queued      -> kCancelled immediately (never reaches the fleet)
 //   running     -> the job's cancel flag is raised; the engine stops at
-//                  the next scheduling-unit boundary and the scheduler
+//                  the next block-row boundary and the scheduler
 //                  marks the job cancelled (the lease is released by the
 //                  normal unwind, so the fleet is never wedged)
 //   completing / terminal -> no-op; the current state is returned

@@ -36,7 +36,10 @@
 
 namespace mgpusw::sim {
 
-/// Which engine schedule the model mimics (see core::Schedule).
+/// Which block order the model times. The real engine runs only the
+/// row-major pipeline; the diagonal-barrier order exists in the model
+/// alone, as the paper-scale contrast that motivates fine-grain
+/// pipelining.
 enum class SimSchedule {
   /// Fine-grain row-major pipeline: chunk i ships when block row i is
   /// done; the cross-device lag is one block row.
@@ -141,8 +144,8 @@ struct RebalanceSimResult {
 
 /// Runs the model against a caller-supplied plan (e.g. the exact plan a
 /// MultiDeviceEngine reports via plan()). The plan's geometry overrides
-/// the config's; config still supplies the device rate profiles. The
-/// plan must have one slice per config device.
+/// the config's; config still supplies the device rate profiles and the
+/// schedule. The plan must have one slice per config device.
 [[nodiscard]] SimResult simulate_pipeline(const SimConfig& config,
                                           const core::AlignmentPlan& plan);
 

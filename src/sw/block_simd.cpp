@@ -6,7 +6,7 @@
 // every dispatched kernel — block and batch — to the strongest backend
 // that is both (a) supported by the running CPU per cpuid and (b)
 // actually compiled with vector instructions — a backend TU built on a
-// non-x86 host reports "scalar" and is treated as such.
+// non-x86 host reports SimdIsa::kScalar and is treated as such.
 #include "sw/block_simd.hpp"
 
 #include <cstdlib>
@@ -35,14 +35,6 @@ SimdIsa apply_env_cap(SimdIsa isa) {
     return isa < SimdIsa::kSse42 ? isa : SimdIsa::kSse42;
   }
   return isa;  // "avx2" or unrecognised: no cap below detection
-}
-
-/// What the backend TU for `level` was actually compiled with.
-SimdIsa compiled_isa(SimdIsa level) {
-  const char* name = simd_backend(level).name;
-  if (std::strcmp(name, "avx2") == 0) return SimdIsa::kAvx2;
-  if (std::strcmp(name, "sse4.2") == 0) return SimdIsa::kSse42;
-  return SimdIsa::kScalar;
 }
 
 /// Strongest backend whose compiled code the CPU can run. A backend TU
@@ -90,7 +82,7 @@ const SimdBackend& dispatched_simd_backend() {
 const char* active_simd_backend() { return dispatched_simd_backend().name; }
 
 bool simd_backend_runnable(SimdIsa level) {
-  return compiled_isa(level) <= detected_simd_isa();
+  return simd_backend(level).isa <= detected_simd_isa();
 }
 
 BlockResult compute_block_simd(const ScoreScheme& scheme,

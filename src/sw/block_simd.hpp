@@ -121,6 +121,7 @@ struct SimdBackend {
                                 int n, ScoreResult* out, bool* overflow);
 
   const char* name;  // what the TU was compiled for: "avx2", "sse4.2", ...
+  SimdIsa isa;       // the same, as the level the dispatcher compares
   BlockFn block_i32;  // exact int32
   BlockFn block_i16;  // int16 -> int32 ladder
   BlockFn block_i8;   // int8 -> int16 -> int32 ladder

@@ -2,7 +2,7 @@
 // -mavx2 on x86 hosts; elsewhere the traits silently degrade to the
 // strongest backend the compiler offers (ultimately scalar), which keeps
 // the symbols defined and correct on every platform. The runtime
-// dispatcher consults kBackend.name so it never advertises a vector ISA
+// dispatcher consults kBackend.isa so it never advertises a vector ISA
 // this TU was not actually compiled for.
 #define MGPUSW_SIMD_NS simd_avx2
 

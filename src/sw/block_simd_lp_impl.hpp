@@ -530,6 +530,7 @@ BlockResult compute_block_ladder(const ScoreScheme& scheme,
 // initializer without an ordering dependency on this TU.
 constinit const SimdBackend kBackend = {
     kSimdBackendName,
+    kSimdBackendIsa,
     &lp::compute_block_ladder<LpI32>,
     &lp::compute_block_ladder<LpI16, LpI32>,
     &lp::compute_block_ladder<LpI8, LpI16, LpI32>,

@@ -56,6 +56,8 @@
 #include <cstring>
 #include <limits>
 
+#include "sw/block_simd.hpp"
+
 #ifndef MGPUSW_SIMD_NS
 #error "define MGPUSW_SIMD_NS to a unique namespace before including sw/simd_lp.hpp"
 #endif
@@ -79,6 +81,7 @@ inline constexpr int kI32SegSteps = 1 << 30;
 #if defined(MGPUSW_SIMD_BACKEND_AVX2)
 
 inline constexpr const char* kSimdBackendName = "avx2";
+inline constexpr SimdIsa kSimdBackendIsa = SimdIsa::kAvx2;
 
 struct LpI32 {
   static constexpr int kLanes = 8;
@@ -238,6 +241,7 @@ struct LpI8 {
 // meaningful: each ISA runs at its own register width.
 
 inline constexpr const char* kSimdBackendName = "sse4.2";
+inline constexpr SimdIsa kSimdBackendIsa = SimdIsa::kSse42;
 
 /// int32 is the exception: it keeps AVX2's 8 lanes as two 128-bit
 /// halves. Its loop spills at either width, and native 4-lane vectors
@@ -380,6 +384,7 @@ struct LpI8 {
 #else  // scalar fallback
 
 inline constexpr const char* kSimdBackendName = "scalar";
+inline constexpr SimdIsa kSimdBackendIsa = SimdIsa::kScalar;
 
 namespace lp_detail {
 

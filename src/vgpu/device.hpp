@@ -1,11 +1,12 @@
 // Virtual GPU runtime.
 //
-// A Device stands in for one CUDA device: it owns a worker pool (its
-// "SMs"), a tracked memory arena (cudaMalloc stand-in), FIFO streams and
-// events, and an optional speed throttle. The multi-device engine treats
-// a Device exactly as CUDAlign's host code treats a GPU — it launches
-// block kernels and synchronizes — so every scheduling and communication
-// concern of the paper's design is exercised for real.
+// A Device stands in for one CUDA device: a tracked memory arena
+// (cudaMalloc stand-in), kernel accounting, fault-injection points and an
+// optional speed throttle. Kernels run on the calling thread — the
+// engine's per-device driver thread, which computes its slice block by
+// block as the paper's fine-grain pipeline does — so the device adds no
+// threads of its own while every scheduling and communication concern of
+// the design is still exercised for real.
 //
 // The throttle is how heterogeneity is realized in *real* execution mode
 // on a homogeneous host: a device with slowdown s busy-waits (s-1)x the
@@ -16,10 +17,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <utility>
 
-#include "base/thread_pool.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::vgpu {
@@ -27,9 +26,6 @@ namespace mgpusw::vgpu {
 class FaultInjector;
 
 struct DeviceOptions {
-  /// Host worker threads emulating the SMs. 0 = one per SM capped by the
-  /// machine's hardware concurrency.
-  int worker_threads = 1;
   /// Speed throttle >= 1.0; 1.0 = full host speed.
   double slowdown = 1.0;
 };
@@ -40,13 +36,11 @@ class DeviceBuffer;
 class Device {
  public:
   Device(DeviceSpec spec, DeviceOptions options = {});
-  ~Device();
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] const DeviceSpec& spec() const { return spec_; }
-  [[nodiscard]] int worker_count() const;
   [[nodiscard]] double slowdown() const {
     return slowdown_.load(std::memory_order_relaxed);
   }
@@ -56,12 +50,6 @@ class Device {
   /// is how tests and benches model a device degrading under load —
   /// thermal throttling, a noisy co-tenant — after the split was planned.
   void set_slowdown(double slowdown);
-
-  /// Submits a task to the device's workers (kernel launch stand-in).
-  void execute(std::function<void()> task);
-
-  /// Blocks until all submitted tasks completed (cudaDeviceSynchronize).
-  void synchronize();
 
   /// Busy-waits the throttle penalty for a kernel that took busy_ns of
   /// host time, and accounts the kernel into the device counters.
@@ -105,9 +93,7 @@ class Device {
   void release(std::int64_t bytes);
 
   const DeviceSpec spec_;
-  const DeviceOptions options_;
   std::atomic<double> slowdown_{1.0};  // runtime throttle, mutable mid-run
-  std::unique_ptr<base::ThreadPool> pool_;
   std::atomic<FaultInjector*> fault_{nullptr};
   std::atomic<int> fault_ordinal_{0};
   std::atomic<std::int64_t> memory_used_{0};
@@ -151,49 +137,6 @@ class DeviceBuffer {
  private:
   Device* device_ = nullptr;
   std::int64_t bytes_ = 0;
-};
-
-/// Completion marker within a stream (cudaEvent_t stand-in): records a
-/// point in a stream's FIFO order; wait() blocks until every task
-/// enqueued before the record has executed.
-class Event {
- public:
-  Event();
-
-  /// Blocks until the recorded point has been reached. Waiting on a
-  /// never-recorded event returns immediately (CUDA semantics).
-  void wait();
-
-  /// True once the recorded point has passed (or nothing was recorded).
-  [[nodiscard]] bool ready() const;
-
- private:
-  friend class Stream;
-  struct State;
-  std::shared_ptr<State> state_;
-};
-
-/// FIFO stream over a device: tasks enqueued to one stream execute in
-/// order; distinct streams may interleave (cudaStream_t stand-in).
-class Stream {
- public:
-  explicit Stream(Device& device);
-  ~Stream();
-
-  Stream(const Stream&) = delete;
-  Stream& operator=(const Stream&) = delete;
-
-  void enqueue(std::function<void()> task);
-
-  /// Marks the current tail of the stream in `event` (re-recording moves
-  /// the marker).
-  void record(Event& event);
-
-  void synchronize();
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;  // shared with in-flight worker lambdas
 };
 
 }  // namespace mgpusw::vgpu

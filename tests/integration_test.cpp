@@ -104,13 +104,12 @@ TEST(IntegrationTest, PipelineOverTcpWithAntidiagKernel) {
   }
 }
 
-TEST(IntegrationTest, BatchWithProgressAndDiagonalSchedule) {
+TEST(IntegrationTest, BatchWithProgressAcrossFleet) {
   core::DeviceFleet fleet = core::DeviceFleet::from_specs(
       {vgpu::toy_device(8.0), vgpu::toy_device(12.0)});
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
-  config.schedule = core::Schedule::kDiagonal;
   std::atomic<std::int64_t> events{0};
   config.progress = [&](const core::ProgressEvent&) { events.fetch_add(1); };
 

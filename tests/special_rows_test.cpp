@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "base/error.hpp"
+#include "base/log.hpp"
 #include "core/special_rows.hpp"
 
 namespace mgpusw {
@@ -171,6 +172,23 @@ TEST(SpecialRowsDiskTest, LastRestartableRowSkipsCorruptRows) {
   }
   // The newest checkpoint fails its CRC; recovery falls back to row 31.
   EXPECT_EQ(store.last_restartable_row(2), 31);
+}
+
+TEST(SpecialRowsTest, IncompleteRowIsSkippedWithoutAnErrorReport) {
+  // After a device death its last partial row is expected, not a broken
+  // invariant: the probe skips it without printing at the default level.
+  const base::LogLevel saved = base::log_level();
+  base::set_log_level(base::LogLevel::kWarn);
+  core::SpecialRowStore store;
+  store.save_segment(31, 0, {1, 2, 3, 4}, {-1, -1, -1, -1});
+  store.save_segment(63, 0, {5, 6}, {-2, -2});
+  store.save_segment(63, 3, {8}, {-2});  // column 2 never arrived
+  ::testing::internal::CaptureStderr();
+  const std::int64_t row = store.last_restartable_row(4);
+  const std::string printed = ::testing::internal::GetCapturedStderr();
+  base::set_log_level(saved);
+  EXPECT_EQ(row, 31);
+  EXPECT_EQ(printed, "");
 }
 
 // --- recover_existing: reviving another process's spill files --------------

@@ -309,6 +309,18 @@ TEST(KernelRegistryTest, EveryRegisteredKernelHasParityCoverage) {
   }
 }
 
+TEST(KernelRegistryTest, BackendRowsCarryTheirIsa) {
+  // The dispatcher compares SimdBackend::isa; it must name the level the
+  // row's `name` reports, and a TU that degraded at compile time reports
+  // a weaker level than it was built for, never a stronger one.
+  for (const sw::SimdIsa level :
+       {sw::SimdIsa::kScalar, sw::SimdIsa::kSse42, sw::SimdIsa::kAvx2}) {
+    const sw::SimdBackend& backend = sw::simd_backend(level);
+    EXPECT_STREQ(backend.name, sw::simd_isa_name(backend.isa));
+    EXPECT_LE(backend.isa, level);
+  }
+}
+
 TEST(KernelRegistryTest, DispatchedBackendMatchesDetectedIsa) {
   // The dispatcher may never pick a backend above the detected ISA level.
   const std::string active = sw::active_simd_backend();
