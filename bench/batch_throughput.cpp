@@ -155,12 +155,13 @@ int main(int argc, char** argv) {
     for (std::int64_t k = 0; k < short_pairs; ++k) {
       // Vary the lengths a little so lane groups see realistic padding.
       const std::int64_t len = short_len + (k % 7) * (short_len / 16 + 1);
+      const std::string id = std::to_string(k);
       const seq::Sequence ancestor = seq::generate_chromosome(
-          "s" + std::to_string(k), len, 0x5EED0000ULL + k);
+          std::string("s").append(id), len, 0x5EED0000ULL + k);
       shorts.push_back(core::BatchItem{
-          "short-" + std::to_string(k), ancestor,
+          std::string("short-").append(id), ancestor,
           seq::mutate_homolog(ancestor, seq::MutationModel{},
-                              0xAB0000ULL + k, "t" + std::to_string(k))});
+                              0xAB0000ULL + k, std::string("t").append(id))});
     }
 
     core::BatchConfig engine_path = sequential;

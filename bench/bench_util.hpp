@@ -109,7 +109,7 @@ inline base::FlagSet standard_flags(const std::string& description) {
   for (const sw::KernelInfo& info : sw::kernel_registry()) {
     kernels.push_back(info.name);
   }
-  flags.add_choice("kernel", std::string(sw::kDefaultKernel),
+  flags.add_choice("kernel", std::string(sw::default_kernel()),
                    std::move(kernels),
                    "block kernel for real-mode runs (sw::kernel_registry)");
   return flags;

@@ -405,7 +405,7 @@ void run_kernel_summary(const std::string& json_path,
           std::to_string(shape.block_tile) + " block (simd dispatches to " +
           sw::active_simd_backend() + "; detected ISA " +
           sw::simd_isa_name(sw::detected_simd_isa()) + ")",
-      block_rates, std::string(sw::kDefaultKernel));
+      block_rates, std::string(sw::kReferenceKernel));
 
   // Section 2: megabase strip sweep — the dispatched kernels only (the
   // pinned backend variants add nothing at this scale and each pass

@@ -15,6 +15,9 @@
 
 int main(int argc, char** argv) {
   using namespace mgpusw;
+  // Engine flags default to the library's own defaults, so a bare run
+  // executes what MultiDeviceEngine runs for EngineConfig{}.
+  const core::EngineConfig defaults;
   base::FlagSet flags(
       "Compare megabase sequences on multiple virtual GPUs");
   flags.add_string("pair", "chr21",
@@ -26,19 +29,20 @@ int main(int argc, char** argv) {
   flags.add_int("devices", 3, "number of virtual devices");
   flags.add_bool("hetero", true,
                  "heterogeneous device mix (cycles env-1 GPU profiles)");
-  flags.add_int("block_rows", 128, "block height");
-  flags.add_int("block_cols", 128, "block width");
-  flags.add_int("buffer", 16, "circular buffer capacity (chunks)");
+  flags.add_int("block_rows", defaults.block_rows, "block height");
+  flags.add_int("block_cols", defaults.block_cols, "block width");
+  flags.add_int("buffer", defaults.buffer_capacity,
+                "circular buffer capacity (chunks)");
   flags.add_string("transport", "ring", "border transport: ring or tcp");
   {
     std::vector<std::string> kernels;
     for (const sw::KernelInfo& info : sw::kernel_registry()) {
       kernels.push_back(info.name);
     }
-    flags.add_choice("kernel", std::string(sw::kDefaultKernel),
-                     std::move(kernels),
-                     "block kernel (simd uses the strongest CPU ISA; cap "
-                     "with MGPUSW_SIMD=scalar|sse4.2)");
+    flags.add_choice("kernel", defaults.kernel, std::move(kernels),
+                     "block kernel (default: auto on a SIMD backend, row "
+                     "on the scalar one; cap the ISA with "
+                     "MGPUSW_SIMD=scalar|sse4.2)");
   }
   flags.add_bool("pruning", false, "enable block pruning");
   flags.add_bool("verbose", false,
@@ -115,7 +119,7 @@ int main(int argc, char** argv) {
   }
 
   // --- engine ----------------------------------------------------------
-  core::EngineConfig config;
+  core::EngineConfig config = defaults;
   config.block_rows = flags.get_int("block_rows");
   config.block_cols = flags.get_int("block_cols");
   config.buffer_capacity = flags.get_int("buffer");

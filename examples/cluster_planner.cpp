@@ -55,24 +55,28 @@ int main(int argc, char** argv) {
               base::human_bp(pair->chimp_length).c_str(),
               base::with_thousands(pair->matrix_cells()).c_str());
 
-  // Static split, exactly as the engine would compute it.
-  std::vector<double> weights;
-  for (const auto& spec : devices) weights.push_back(spec.sw_gcups);
-  const auto ranges = core::partition_columns(
-      pair->chimp_length, weights, flags.get_int("block_cols"));
+  // Static split, read from the plan the engine and the model execute.
+  core::PlanRequest request;
+  request.rows = pair->human_length;
+  request.cols = pair->chimp_length;
+  request.block_rows = flags.get_int("block_rows");
+  request.block_cols = flags.get_int("block_cols");
+  request.weights = core::profile_weights(devices);
+  const core::AlignmentPlan plan = core::make_plan(request);
 
   base::TextTable table({"device", "profile GCUPS", "columns", "share",
                          "border memory"});
   for (std::size_t d = 0; d < devices.size(); ++d) {
+    const std::int64_t cols = plan.devices[d].slice.cols;
     // O(m + n_slice) border storage per device (H,E / H,F int32 pairs).
     const std::int64_t border_bytes =
-        (pair->human_length + ranges[d].cols) * 2 *
+        (pair->human_length + cols) * 2 *
         static_cast<std::int64_t>(sizeof(sw::Score));
     table.add_row({
         devices[d].name,
         base::format_double(devices[d].sw_gcups, 1),
-        base::with_thousands(ranges[d].cols),
-        base::format_double(100.0 * static_cast<double>(ranges[d].cols) /
+        base::with_thousands(cols),
+        base::format_double(100.0 * static_cast<double>(cols) /
                                 static_cast<double>(pair->chimp_length),
                             1) + "%",
         base::human_bytes(border_bytes),

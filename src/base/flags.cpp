@@ -35,7 +35,7 @@ std::string join_choices(const std::vector<std::string>& choices) {
 void FlagSet::add_int(const std::string& name, std::int64_t default_value,
                       const std::string& help) {
   Flag flag{Kind::kInt, help, std::to_string(default_value),
-            std::to_string(default_value)};
+            std::to_string(default_value), {}};
   flags_.emplace(name, std::move(flag));
 }
 
@@ -43,21 +43,21 @@ void FlagSet::add_double(const std::string& name, double default_value,
                          const std::string& help) {
   std::ostringstream os;
   os << default_value;
-  Flag flag{Kind::kDouble, help, os.str(), os.str()};
+  Flag flag{Kind::kDouble, help, os.str(), os.str(), {}};
   flags_.emplace(name, std::move(flag));
 }
 
 void FlagSet::add_bool(const std::string& name, bool default_value,
                        const std::string& help) {
   const char* text = default_value ? "true" : "false";
-  Flag flag{Kind::kBool, help, text, text};
+  Flag flag{Kind::kBool, help, text, text, {}};
   flags_.emplace(name, std::move(flag));
 }
 
 void FlagSet::add_string(const std::string& name,
                          const std::string& default_value,
                          const std::string& help) {
-  Flag flag{Kind::kString, help, default_value, default_value};
+  Flag flag{Kind::kString, help, default_value, default_value, {}};
   flags_.emplace(name, std::move(flag));
 }
 

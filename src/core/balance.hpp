@@ -35,6 +35,6 @@ namespace mgpusw::core {
     const std::vector<vgpu::Device*>& devices, const sw::ScoreScheme& scheme,
     std::int64_t sample_rows = 2048, std::int64_t sample_cols = 2048,
     std::uint64_t seed = 42,
-    const std::string& kernel = std::string(sw::kDefaultKernel));
+    const std::string& kernel = std::string(sw::default_kernel()));
 
 }  // namespace mgpusw::core

@@ -102,12 +102,6 @@ AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
   return make_plan(request);
 }
 
-std::vector<ColumnRange> MultiDeviceEngine::plan_partition(
-    std::int64_t total_cols) const {
-  return partition_columns(total_cols, balance_weights(),
-                           config_.block_cols);
-}
-
 /// Assembled checkpoint row used to seed a resumed run.
 struct MultiDeviceEngine::ResumeSeed {
   std::int64_t checkpoint_row = -1;

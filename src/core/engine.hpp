@@ -50,17 +50,18 @@ namespace mgpusw::core {
 
 struct EngineConfig {
   sw::ScoreScheme scheme;
-  std::int64_t block_rows = 512;   // block height (query direction)
-  std::int64_t block_cols = 512;   // block width (subject direction)
+  std::int64_t block_rows = kDefaultBlockRows;  // query direction
+  std::int64_t block_cols = kDefaultBlockCols;  // subject direction
   std::int64_t buffer_capacity = 16;  // circular buffer size, in chunks
   Transport transport = Transport::kInProcess;
 
   /// Block kernel, by registry name (sw::kernel_registry(); e.g. "row",
   /// "simd", "simd16", "simd8", "auto"). Every kernel produces
-  /// bit-identical results; they differ in lane width and speed. A
-  /// device whose spec names its own kernel overrides this default for
-  /// its slice.
-  std::string kernel{sw::kDefaultKernel};
+  /// bit-identical results; they differ in lane width and speed. The
+  /// default is sw::default_kernel(): the int8 ladder on a vector
+  /// backend, the row sweep on the scalar one. A device whose spec names
+  /// its own kernel overrides this default for its slice.
+  std::string kernel{sw::default_kernel()};
   BalanceMode balance = BalanceMode::kSpecGcups;
   std::vector<double> custom_weights;  // used when balance == kCustomWeights
 
@@ -197,11 +198,6 @@ class MultiDeviceEngine {
   /// contract).
   [[nodiscard]] AlignmentPlan plan(std::int64_t rows, std::int64_t cols,
                                    std::int64_t start_block_row = 0) const;
-
-  /// The column split the engine would use for `total_cols` columns
-  /// (exposed for tests and the split-balance experiment).
-  [[nodiscard]] std::vector<ColumnRange> plan_partition(
-      std::int64_t total_cols) const;
 
  private:
   struct ResumeSeed;

@@ -1,5 +1,7 @@
 #include "core/plan.hpp"
 
+#include <algorithm>
+
 #include "base/error.hpp"
 #include "base/math.hpp"
 
@@ -34,7 +36,8 @@ AlignmentPlan make_plan(const PlanRequest& request) {
                                     << " leaves nothing to compute");
 
   const std::vector<ColumnRange> ranges = partition_columns(
-      request.cols, request.weights, request.block_cols);
+      request.cols, request.weights,
+      std::min(request.block_cols, kPartitionGranule));
 
   plan.devices.reserve(ranges.size());
   for (std::size_t d = 0; d < ranges.size(); ++d) {

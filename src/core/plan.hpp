@@ -21,9 +21,25 @@
 
 namespace mgpusw::core {
 
+/// Default block geometry of the engine and the planner. Short blocks
+/// keep the pipeline fill (one block row per device hop) small; wide
+/// ones amortise the per-block border and dispatch cost of the SIMD
+/// kernels. Plain constants, not functions of the device count: a
+/// resumed run (recovery on a shrunken pool, a journal replay in a later
+/// daemon) restarts from a checkpoint row on a block-row boundary, so
+/// block_rows must not move when the pool does.
+inline constexpr std::int64_t kDefaultBlockRows = 256;
+inline constexpr std::int64_t kDefaultBlockCols = 2048;
+
+/// The column split's granule: make_plan apportions columns in units of
+/// min(block_cols, kPartitionGranule), so wide blocks do not coarsen the
+/// split. A slice is tiled from its first column, so its last block
+/// column may be narrower than block_cols.
+inline constexpr std::int64_t kPartitionGranule = 256;
+
 /// How slice widths are chosen for heterogeneous devices.
 enum class BalanceMode {
-  kEqual,          // equal block-column counts (the naive baseline)
+  kEqual,          // equal column shares (the naive baseline)
   kSpecGcups,      // proportional to DeviceSpec::sw_gcups / slowdown
   kCustomWeights,  // caller-provided weights
 };
@@ -51,11 +67,11 @@ struct SlicePlan {
 struct PlanRequest {
   std::int64_t rows = 0;  // query length (cells)
   std::int64_t cols = 0;  // subject length (cells)
-  std::int64_t block_rows = 512;
-  std::int64_t block_cols = 512;
+  std::int64_t block_rows = kDefaultBlockRows;
+  std::int64_t block_cols = kDefaultBlockCols;
   std::int64_t buffer_capacity = 16;
   Transport transport = Transport::kInProcess;
-  std::string default_kernel{sw::kDefaultKernel};
+  std::string default_kernel{sw::default_kernel()};
   std::vector<double> weights;
   std::vector<std::string> device_kernels;
   std::int64_t start_block_row = 0;  // > 0 when resuming from a checkpoint
@@ -84,8 +100,10 @@ struct AlignmentPlan {
 };
 
 /// Builds the plan: derives the block grid, partitions the columns
-/// proportionally to the weights (granularity one block column), and
-/// resolves each device's kernel name (per-device override or default).
+/// proportionally to the weights (granularity min(block_cols,
+/// kPartitionGranule)), tiles each slice into ceil(slice.cols /
+/// block_cols) block columns, and resolves each device's kernel name
+/// (per-device override or default).
 /// Throws InvalidArgument on inconsistent requests (non-positive
 /// geometry, too many devices for the matrix, weight count mismatch).
 [[nodiscard]] AlignmentPlan make_plan(const PlanRequest& request);

@@ -142,14 +142,14 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
     }
     MultiDeviceEngine engine(attempt, devices);
     if (controller != nullptr) {
-      // The shares the controller judges against are the block columns
-      // the plan actually allocated, not the raw weights — rounding to
-      // block granularity is part of the split being observed.
+      // The shares the controller judges against are the columns the
+      // plan actually allocated, not the raw weights — rounding to the
+      // partition granule is part of the split being observed.
       const AlignmentPlan plan = engine.plan(rows, cols);
       std::vector<double> shares;
       shares.reserve(plan.devices.size());
       for (const SlicePlan& slice : plan.devices) {
-        shares.push_back(static_cast<double>(slice.block_columns));
+        shares.push_back(static_cast<double>(slice.slice.cols));
       }
       controller->set_planned_shares(std::move(shares));
     }

@@ -447,12 +447,12 @@ RebalanceSimResult simulate_rebalance(const SimConfig& config) {
     request.weights = weights;
     const core::AlignmentPlan plan = core::make_plan(request);
 
-    // The shares the controller judges are the block columns the plan
+    // The shares the controller judges are the columns the plan
     // actually allocated (mirrors run_with_recovery).
     std::vector<double> shares;
     shares.reserve(plan.devices.size());
     for (const core::SlicePlan& slice : plan.devices) {
-      shares.push_back(static_cast<double>(slice.block_columns));
+      shares.push_back(static_cast<double>(slice.slice.cols));
     }
     const double imbalance =
         config.devices.size() < 2

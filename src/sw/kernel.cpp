@@ -7,10 +7,20 @@
 
 namespace mgpusw::sw {
 
+std::string_view default_kernel_for(SimdIsa backend) {
+  return backend == SimdIsa::kScalar ? kReferenceKernel : "auto";
+}
+
+std::string_view default_kernel() {
+  static const std::string_view name =
+      default_kernel_for(dispatched_simd_backend().isa);
+  return name;
+}
+
 const std::vector<KernelInfo>& kernel_registry() {
   static const std::vector<KernelInfo> registry = [] {
     std::vector<KernelInfo> table;
-    table.push_back({std::string(kDefaultKernel), &compute_block,
+    table.push_back({std::string(kReferenceKernel), &compute_block,
                      "scalar row sweep (reference)"});
     table.push_back(
         {"simd", &compute_block_simd,

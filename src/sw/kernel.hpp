@@ -16,8 +16,8 @@
 //                have saturated (bit-identical either way)
 //   simd8        32-lane saturating int8 SIMD; escalates int8 -> int16
 //                -> int32
-//   auto         narrowest safe precision — the full int8 ladder, named
-//                for DeviceSpec::kernel / calibration to select
+//   auto         narrowest safe precision — the full int8 ladder; the
+//                library default on a vector backend (default_kernel)
 //   simd-scalar  the SIMD kernel pinned to its scalar backend (always
 //                present — the guaranteed fallback)
 //   simd-sse42 / simd-avx2
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "sw/block.hpp"
+#include "sw/block_simd.hpp"
 
 namespace mgpusw::sw {
 
@@ -51,11 +52,21 @@ struct KernelInfo {
   std::string description;
 };
 
-/// Name of the default kernel (the scalar row sweep).
-inline constexpr std::string_view kDefaultKernel = "row";
+/// Name of the reference kernel (the scalar row sweep): the registry's
+/// front entry and the baseline every other kernel is checked against.
+inline constexpr std::string_view kReferenceKernel = "row";
 
-/// All kernels runnable on this host, default first. Built once; stable
-/// for the process lifetime.
+/// The kernel a backend-level choice resolves to: the int8 ladder
+/// ("auto") on a vector backend, the reference kernel on the scalar one,
+/// where the ladder's lane emulation runs below the row sweep.
+[[nodiscard]] std::string_view default_kernel_for(SimdIsa backend);
+
+/// The library's default kernel: default_kernel_for the dispatched SIMD
+/// backend (after any MGPUSW_SIMD cap). Resolved once per process.
+[[nodiscard]] std::string_view default_kernel();
+
+/// All kernels runnable on this host, reference first. Built once;
+/// stable for the process lifetime.
 [[nodiscard]] const std::vector<KernelInfo>& kernel_registry();
 
 /// Looks a kernel up by name; throws InvalidArgument listing the valid

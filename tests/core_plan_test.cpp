@@ -3,6 +3,7 @@
 // AlignmentPlan value, so slice arithmetic exists in one place).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "base/error.hpp"
@@ -109,6 +110,69 @@ TEST(PlanTest, RejectsBadRequests) {
   }
 }
 
+TEST(PlanTest, DefaultGeometryPlansThreeDevicesOver768Columns) {
+  // 768 columns are three 256-column granules: enough for three devices
+  // even though the default block is wider than the whole matrix.
+  PlanRequest request;
+  request.rows = 1000;
+  request.cols = 768;
+  request.weights = {1.0, 1.0, 1.0};
+  const AlignmentPlan plan = make_plan(request);
+  EXPECT_EQ(plan.block_rows, core::kDefaultBlockRows);
+  EXPECT_EQ(plan.block_cols, core::kDefaultBlockCols);
+  EXPECT_EQ(plan.block_row_count, base::div_ceil(1000, plan.block_rows));
+  ASSERT_EQ(plan.device_count(), 3u);
+  for (const core::SlicePlan& device : plan.devices) {
+    EXPECT_EQ(device.slice.cols, 256);
+    EXPECT_EQ(device.block_columns, 1);
+  }
+}
+
+TEST(PlanTest, WideBlocksSplitWithinOneGranuleOfTheWeights) {
+  // The megabase pair's width on the environment-1 speed mix: 2048-wide
+  // blocks would give it four block columns for three devices, the
+  // granule gives each device its weight share to within 256 columns.
+  PlanRequest request;
+  request.rows = 11461;
+  request.cols = 8007;
+  request.block_cols = 2048;
+  request.weights = {33.0, 50.0, 57.5};
+  const AlignmentPlan plan = make_plan(request);
+  const double total_weight = 33.0 + 50.0 + 57.5;
+  std::int64_t cursor = 0;
+  for (std::size_t d = 0; d < plan.device_count(); ++d) {
+    const core::SlicePlan& device = plan.devices[d];
+    const double share = static_cast<double>(request.cols) *
+                         request.weights[d] / total_weight;
+    EXPECT_LE(std::abs(static_cast<double>(device.slice.cols) - share),
+              static_cast<double>(core::kPartitionGranule))
+        << "device " << d;
+    EXPECT_EQ(device.slice.first_col, cursor);
+    EXPECT_EQ(device.block_columns, base::div_ceil(device.slice.cols, 2048));
+    cursor += device.slice.cols;
+  }
+  EXPECT_EQ(cursor, request.cols);
+}
+
+TEST(PlanTest, NarrowBlocksSplitAtBlockColumns) {
+  // At or below the granule the split is exactly the block-column
+  // apportionment.
+  const std::vector<double> weights = {1.0, 2.5, 1.5};
+  for (const std::int64_t block_cols : {1, 32, 100, 128, 256}) {
+    PlanRequest request = basic_request();
+    request.block_cols = block_cols;
+    request.weights = weights;
+    const AlignmentPlan plan = make_plan(request);
+    const std::vector<core::ColumnRange> split =
+        core::partition_columns(request.cols, weights, block_cols);
+    ASSERT_EQ(plan.device_count(), split.size());
+    for (std::size_t d = 0; d < split.size(); ++d) {
+      EXPECT_EQ(plan.devices[d].slice, split[d])
+          << "block_cols " << block_cols << ", device " << d;
+    }
+  }
+}
+
 TEST(PlanTest, ProfileWeightsReadSpecs) {
   const std::vector<vgpu::DeviceSpec> specs = {vgpu::toy_device(10.0),
                                                vgpu::toy_device(25.0)};
@@ -133,7 +197,8 @@ TEST(SharedPlanTest, EnginePlanMatchesPartition) {
                                  {owned[0].get(), owned[1].get()});
 
   const AlignmentPlan plan = engine.plan(2000, 4000);
-  const std::vector<core::ColumnRange> split = engine.plan_partition(4000);
+  const std::vector<core::ColumnRange> split =
+      core::partition_columns(4000, {10.0, 30.0}, 64);
   ASSERT_EQ(plan.device_count(), split.size());
   for (std::size_t d = 0; d < split.size(); ++d) {
     EXPECT_EQ(plan.devices[d].slice, split[d]);

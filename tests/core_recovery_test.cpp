@@ -18,6 +18,7 @@
 #include "core/fleet.hpp"
 #include "core/recovery.hpp"
 #include "core/report.hpp"
+#include "seq/synth.hpp"
 #include "sw/linear.hpp"
 #include "tests/test_util.hpp"
 #include "vgpu/device.hpp"
@@ -96,6 +97,42 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param == core::Transport::kInProcess ? "Ring"
                                                                    : "Tcp");
     });
+
+TEST(RecoveryTest, DefaultGeometryDeathResumesBitIdentically) {
+  // All-default engine config on a homolog pair. Device 1, the last of
+  // two, dies launching its first block of block row 8, when every
+  // device has saved checkpoint row 7 * 256 + 255: the restart resumes
+  // from a block-row boundary of the default geometry, not from scratch.
+  const seq::HomologPair homologs = seq::make_homolog_pair(
+      seq::scaled_pair(seq::paper_chromosome_pairs()[2], 16384), 7);
+  EngineConfig config;
+  vgpu::Device d0(vgpu::toy_device(10.0));
+  vgpu::Device d1(vgpu::toy_device(16.0));
+
+  MultiDeviceEngine reference(config, {&d0, &d1});
+  const core::AlignmentPlan plan =
+      reference.plan(homologs.query.size(), homologs.subject.size());
+  ASSERT_GT(plan.block_row_count, 8);
+  const auto expected = reference.run(homologs.query, homologs.subject);
+  EXPECT_EQ(expected.best, sw::linear_score(config.scheme, homologs.query,
+                                            homologs.subject));
+
+  FaultInjector injector(parse_fault_plan(
+      "dev1:die@kernel=" + std::to_string(8 * plan.devices[1].block_columns)));
+  config.fault = &injector;
+  std::vector<core::ResumeSpec> restarts;
+  const RecoveryResult recovered = run_with_recovery(
+      config, {&d0, &d1}, homologs.query, homologs.subject, RecoveryPolicy{},
+      nullptr, nullptr,
+      [&](const core::ResumeSpec& spec) { restarts.push_back(spec); });
+
+  EXPECT_EQ(recovered.result.best, expected.best);
+  EXPECT_EQ(recovered.restarts, 1);
+  EXPECT_EQ(recovered.result.devices.size(), 1u);
+  ASSERT_EQ(restarts.size(), 1u);
+  EXPECT_GE(restarts[0].row, 0);
+  EXPECT_EQ((restarts[0].row + 1) % core::kDefaultBlockRows, 0);
+}
 
 // ---------------------------------------------------------------------------
 // Transient faults: retried on the full pool, nothing lost.

@@ -255,11 +255,21 @@ TEST(KernelOverflowTest, NoEscalationOnSmallScores) {
   EXPECT_EQ(reruns8, 0);
 }
 
-TEST(KernelRegistryTest, RowIsDefaultAndFirst) {
+TEST(KernelRegistryTest, RowIsReferenceAndFirst) {
   const auto& registry = sw::kernel_registry();
   ASSERT_FALSE(registry.empty());
-  EXPECT_EQ(registry.front().name, sw::kDefaultKernel);
+  EXPECT_EQ(sw::kReferenceKernel, "row");
+  EXPECT_EQ(registry.front().name, sw::kReferenceKernel);
   EXPECT_EQ(registry.front().fn, &sw::compute_block);
+}
+
+TEST(KernelRegistryTest, DefaultKernelFollowsTheBackend) {
+  EXPECT_EQ(sw::default_kernel_for(sw::SimdIsa::kScalar), "row");
+  EXPECT_EQ(sw::default_kernel_for(sw::SimdIsa::kSse42), "auto");
+  EXPECT_EQ(sw::default_kernel_for(sw::SimdIsa::kAvx2), "auto");
+  EXPECT_EQ(sw::default_kernel(),
+            sw::default_kernel_for(sw::dispatched_simd_backend().isa));
+  EXPECT_NO_THROW((void)sw::find_kernel(sw::default_kernel()));
 }
 
 TEST(KernelRegistryTest, FindKernelResolvesEveryEntry) {
