@@ -70,6 +70,19 @@ void RebalanceController::observe(const ProgressEvent& event) {
     state.baseline_units = event.completed_units - 1;
   }
   state.units = event.completed_units;
+  const DeviceRateSample row{event.device_cells_done - state.sample.cells,
+                             event.busy_ns - state.sample.busy_ns};
+  if (row.cells > 0 && row.busy_ns > 0) {
+    ++state.rows_measured;
+    // row is slower than slowest_row iff its ns per cell is higher.
+    if (state.rows_measured == 1 ||
+        static_cast<double>(row.busy_ns) *
+                static_cast<double>(state.slowest_row.cells) >
+            static_cast<double>(state.slowest_row.busy_ns) *
+                static_cast<double>(row.cells)) {
+      state.slowest_row = row;
+    }
+  }
   state.sample.cells = event.device_cells_done;
   state.sample.busy_ns = event.busy_ns;
 
@@ -86,10 +99,18 @@ void RebalanceController::observe(const ProgressEvent& event) {
   evaluate_locked();
 }
 
+DeviceRateSample RebalanceController::rate_sample(const DeviceState& state) {
+  if (state.rows_measured < 2) return state.sample;
+  return DeviceRateSample{state.sample.cells - state.slowest_row.cells,
+                          state.sample.busy_ns - state.slowest_row.busy_ns};
+}
+
 void RebalanceController::evaluate_locked() {
   std::vector<DeviceRateSample> samples;
   samples.reserve(states_.size());
-  for (const DeviceState& state : states_) samples.push_back(state.sample);
+  for (const DeviceState& state : states_) {
+    samples.push_back(rate_sample(state));
+  }
   const std::vector<double> rates = estimate_rates(samples);
   if (rates.empty()) return;  // e.g. a fully-pruned slice: no kernel time
   ++checks_;

@@ -21,7 +21,11 @@
 // Rates are derived from Device::busy_ns (kernel time including the
 // throttle penalty), not wall time, so border-wait and buffer stalls are
 // discounted: a fast device starved by its upstream neighbour still
-// reports its true compute rate.
+// reports its true compute rate. Kernel time is host time, so a host
+// hiccup (a descheduled vCPU, an interrupt storm) lands on whichever
+// block it hits; each device's slowest block row is left out of its rate
+// once it has reported two, so one disturbed row cannot read as a slow
+// device while a sustained slowdown still shows in every other row.
 #pragma once
 
 #include <atomic>
@@ -121,8 +125,14 @@ class RebalanceController {
     bool seen = false;
     std::int64_t baseline_units = 0;  // units completed before we watched
     std::int64_t units = 0;           // latest completed_units
-    DeviceRateSample sample;
+    DeviceRateSample sample;          // totals since the attempt started
+    DeviceRateSample slowest_row;     // the lowest-rate block row so far
+    int rows_measured = 0;            // block rows with kernel time
   };
+
+  /// The device's totals without its slowest block row, once it has
+  /// two measured rows; its plain totals before that.
+  [[nodiscard]] static DeviceRateSample rate_sample(const DeviceState& state);
 
   void evaluate_locked();
 

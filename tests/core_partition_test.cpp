@@ -49,6 +49,16 @@ TEST(PartitionTest, GranularityRespectedExceptLast) {
   // The last device absorbs the remainder (not necessarily a multiple).
 }
 
+TEST(PartitionTest, PartialLastUnitCountsItsColumns) {
+  // 513 columns at granularity 32 are 16 full units and a 1-column one.
+  // Apportioning units as if all were full gives 288/225 (28% apart);
+  // apportioning columns gives the even split.
+  const auto ranges = core::partition_columns(513, {1.0, 1.0}, 32);
+  expect_tiles(ranges, 513);
+  EXPECT_EQ(ranges[0].cols, 256);
+  EXPECT_EQ(ranges[1].cols, 257);
+}
+
 TEST(PartitionTest, EveryDeviceGetsAtLeastOneUnit) {
   // Extreme weights: the slow device must still receive one block column.
   const auto ranges = core::partition_columns(1000, {0.001, 1000.0}, 100);

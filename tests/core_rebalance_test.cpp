@@ -127,6 +127,30 @@ TEST(RebalanceControllerTest, MisSplitTripsAndReportsMeasuredWeights) {
   EXPECT_NEAR(weights[1], 0.5, 1e-9);
 }
 
+TEST(RebalanceControllerTest, OneSlowRowIsNotASlowDevice) {
+  // Equal split on equal devices; device 0's second row is hit by a host
+  // hiccup (8x its kernel time). Counted in full it reads as a 4.5x
+  // slower device; left out, the devices match.
+  RebalanceController controller(quick_policy());
+  controller.set_planned_shares({1.0, 1.0});
+  controller.observe(make_event(0, 1, 4000, 1000));
+  controller.observe(make_event(1, 1, 4000, 1000));
+  controller.observe(make_event(0, 2, 8000, 9000));
+  controller.observe(make_event(1, 2, 8000, 2000));
+  EXPECT_EQ(controller.checks_run(), 1);
+  EXPECT_FALSE(controller.stop_requested());
+  EXPECT_NEAR(controller.last_imbalance(), 0.0, 1e-9);
+
+  // A slowdown that persists shows in the rows that are kept.
+  controller.observe(make_event(0, 3, 12000, 17000));
+  controller.observe(make_event(1, 3, 12000, 3000));
+  controller.observe(make_event(0, 4, 16000, 25000));
+  controller.observe(make_event(1, 4, 16000, 4000));
+  EXPECT_EQ(controller.checks_run(), 2);
+  EXPECT_TRUE(controller.stop_requested());
+  EXPECT_NEAR(controller.last_imbalance(), 17.0 / 3.0 - 1.0, 1e-9);
+}
+
 TEST(RebalanceControllerTest, NoEvaluationBelowCheckInterval) {
   RebalanceController controller(quick_policy());
   controller.set_planned_shares({8.0, 2.0});
