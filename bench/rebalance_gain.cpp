@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     config.kernel = flags.get_string("kernel");
     config.block_rows = 128;
     config.block_cols = 128;
-    config.balance = core::BalanceMode::kEqual;  // the mis-calibration
+    config.weights = {1.0, 1.0};  // the mis-calibration
 
     vgpu::Device d0(vgpu::toy_device(10.0));
     vgpu::Device d1(vgpu::toy_device(10.0));

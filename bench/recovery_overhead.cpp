@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
   core::SpecialRowStore store;
   checkpointed.special_rows = &store;
   checkpointed.special_row_interval = interval;
-  checkpointed.checkpoint_f = true;
   {
     core::MultiDeviceEngine engine(checkpointed, pool);
     modes.push_back(

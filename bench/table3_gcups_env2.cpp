@@ -44,9 +44,9 @@ int main(int argc, char** argv) {
     config.kernel = flags.get_string("kernel");
     config.block_rows = 64;
     config.block_cols = 64;
-    config.balance = core::BalanceMode::kEqual;
     base::TextTable real({"devices", "score", "oracle", "match"});
     for (int count = 1; count <= 3; ++count) {
+      config.weights.assign(static_cast<std::size_t>(count), 1.0);
       const bench::RealRun run = bench::run_real(
           seq::paper_chromosome_pairs()[3], flags.get_int("scale"), count,
           config);

@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   core::SpecialRowStore checkpoints(dir.string());
   config.special_rows = &checkpoints;
   config.special_row_interval = flags.get_int("interval");
-  config.checkpoint_f = true;  // rows double as restart checkpoints
 
   vgpu::FaultInjector injector(
       vgpu::parse_fault_plan(flags.get_string("fault")));

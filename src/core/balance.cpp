@@ -26,7 +26,7 @@ std::vector<double> calibrate_weights(
   MGPUSW_REQUIRE(sample_rows > 0 && sample_cols > 0,
                  "sample dimensions must be positive");
   scheme.validate();
-  const sw::BlockKernelFn default_fn = sw::find_kernel(kernel);
+  const sw::BlockKernelFn fn = sw::find_kernel(kernel);
 
   base::Rng rng(seed);
   std::vector<seq::Nt> query(static_cast<std::size_t>(sample_rows));
@@ -65,9 +65,6 @@ std::vector<double> calibrate_weights(
     args.right_h = col_h.data();
     args.right_e = col_e.data();
 
-    const sw::BlockKernelFn fn =
-        device->spec().kernel.empty() ? default_fn
-                                      : sw::find_kernel(device->spec().kernel);
     const auto sweep = [&] {
       // The kernel overwrites the borders in place; every sweep must
       // start from the matrix-boundary values to do identical work.

@@ -18,7 +18,8 @@
 namespace mgpusw::core {
 
 /// Weights from device profiles: sw_gcups divided by the runtime
-/// slowdown throttle.
+/// slowdown throttle. The engine's split when EngineConfig::weights is
+/// empty.
 [[nodiscard]] std::vector<double> spec_weights(
     const std::vector<vgpu::Device*>& devices);
 
@@ -28,8 +29,7 @@ namespace mgpusw::core {
 /// over a few timed repetitions, so cold-start skew cannot seed a bad
 /// split). Returns cells/second per device, usable directly as partition
 /// weights. The sweep runs the named block kernel — pass the kernel the
-/// real comparison will use (a device whose spec names its own kernel is
-/// calibrated with that one), so the calibration measures the code path
+/// real comparison will use, so the calibration measures the code path
 /// that actually runs.
 [[nodiscard]] std::vector<double> calibrate_weights(
     const std::vector<vgpu::Device*>& devices, const sw::ScoreScheme& scheme,

@@ -168,7 +168,6 @@ void run_batch_item(const BatchConfig& config, DeviceFleet& fleet,
           engine_config.special_rows = item.checkpoints;
           engine_config.special_row_interval =
               config.recovery.checkpoint_interval;
-          engine_config.checkpoint_f = true;
         }
         try {
           RecoveryResult recovered = run_with_recovery(
@@ -242,53 +241,32 @@ BatchResult run_batch(const BatchConfig& config, DeviceFleet& fleet,
   std::vector<char> handled(items.size(), 0);
   if (config.interseq_max_len > 0) {
     run_interseq_prepass(config, items, batch, handled);
-    if (config.on_item_done) {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (handled[i] != 0) {
-          config.on_item_done(i, batch.items[i], nullptr);
-        }
-      }
-    }
   }
-
-  // Admission order: priority descending, ties in submission order.
-  std::vector<std::size_t> order(items.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&items](std::size_t a, std::size_t b) {
-                     return items[a].priority > items[b].priority;
-                   });
 
   const std::size_t worker_count = std::min<std::size_t>(
       static_cast<std::size_t>(config.max_in_flight), items.size());
 
-  std::atomic<std::size_t> next_slot{0};
+  std::atomic<std::size_t> next_index{0};
   std::mutex error_mu;
   std::exception_ptr first_error;
 
   auto worker = [&] {
     for (;;) {
-      const std::size_t slot =
-          next_slot.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= order.size()) return;
-      const std::size_t index = order[slot];
+      const std::size_t index =
+          next_index.fetch_add(1, std::memory_order_relaxed);
+      if (index >= items.size()) return;
       if (handled[index] != 0) continue;  // solved by the interseq pass
       {
         std::lock_guard<std::mutex> lock(error_mu);
         if (first_error) return;  // abort: stop admitting items
       }
-      const BatchItem& item = items[index];
-      BatchItemResult& entry = batch.items[index];
       try {
-        run_batch_item(config, fleet, item, entry);
+        run_batch_item(config, fleet, items[index], batch.items[index]);
       } catch (...) {
-        const std::exception_ptr error = std::current_exception();
-        if (config.on_item_done) config.on_item_done(index, entry, error);
         std::lock_guard<std::mutex> lock(error_mu);
-        if (!first_error) first_error = error;
+        if (!first_error) first_error = std::current_exception();
         return;
       }
-      if (config.on_item_done) config.on_item_done(index, entry, nullptr);
     }
   };
 

@@ -13,9 +13,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
-#include <exception>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,8 +26,6 @@ struct BatchItem {
   std::string label;
   seq::Sequence query;
   seq::Sequence subject;
-  /// Admission order: higher runs first; ties keep submission order.
-  int priority = 0;
   /// Optional cancel flag (owned by the caller, e.g. the service's job
   /// record). When raised, the item's engine stops at the next
   /// block-row boundary with InterruptedError — recovery does not
@@ -86,16 +81,6 @@ struct BatchConfig {
   std::int64_t interseq_max_len = 0;
   /// Batch kernel for the short-item pre-pass (sw::batch_kernel_names()).
   std::string interseq_kernel = "interseq";
-
-  /// Completion hook, called once per item as it finishes: the item's
-  /// index, its (possibly partial) result entry, and the error that
-  /// aborted it — nullptr on success. Runs on the worker thread that ran
-  /// the item, so it must be thread-safe when max_in_flight > 1; it
-  /// fires before run_batch returns and before a batch-level abort
-  /// rethrows.
-  std::function<void(std::size_t, const BatchItemResult&,
-                     std::exception_ptr)>
-      on_item_done;
 };
 
 struct BatchResult {
@@ -120,8 +105,7 @@ struct BatchResult {
 };
 
 /// Runs every item on leases drawn from `fleet`. Items are admitted in
-/// priority order (descending; ties by position); each engine sees the
-/// item's label in ProgressEvent::job. Exceptions from any item abort
+/// list order; each engine sees the item's label in ProgressEvent::job. Exceptions from any item abort
 /// the batch (first error rethrown after all in-flight items finish and
 /// release their leases).
 [[nodiscard]] BatchResult run_batch(const BatchConfig& config,

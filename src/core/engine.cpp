@@ -9,6 +9,7 @@
 #include "base/error.hpp"
 #include "base/log.hpp"
 #include "base/time.hpp"
+#include "core/balance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sw/block_simd.hpp"
@@ -38,49 +39,20 @@ MultiDeviceEngine::MultiDeviceEngine(EngineConfig config,
   MGPUSW_REQUIRE(config_.block_cols > 0, "block_cols must be positive");
   MGPUSW_REQUIRE(config_.buffer_capacity > 0,
                  "buffer_capacity must be positive");
-  if (config_.balance == BalanceMode::kCustomWeights) {
-    MGPUSW_REQUIRE(config_.custom_weights.size() == devices_.size(),
-                   "custom_weights must have one entry per device");
-  }
+  MGPUSW_REQUIRE(config_.weights.empty() ||
+                     config_.weights.size() == devices_.size(),
+                 "weights must be empty or one entry per device");
   if (config_.special_row_interval > 0) {
     MGPUSW_REQUIRE(config_.special_rows != nullptr,
                    "special_row_interval set but special_rows is null");
   }
-  // Resolve every kernel once (find_kernel throws on unknown names), so
-  // a typo fails at construction instead of mid-run and run_internal
-  // never repeats the lookup.
-  (void)sw::find_kernel(config_.kernel);
-  kernels_.reserve(devices_.size());
-  bool any_override = false;
-  for (const vgpu::Device* device : devices_) {
-    const std::string& device_kernel = device->spec().kernel;
-    kernels_.push_back(sw::find_kernel(
-        device_kernel.empty() ? config_.kernel : device_kernel));
-    any_override = any_override || !device_kernel.empty();
-  }
+  // Resolve the kernel once (find_kernel throws on unknown names), so a
+  // typo fails at construction instead of mid-run and run_internal never
+  // repeats the lookup.
+  kernel_ = sw::find_kernel(config_.kernel);
   MGPUSW_LOG(kInfo) << "engine kernel=" << config_.kernel
-                    << (any_override ? " (per-device overrides present)" : "")
                     << " simd_isa=" << sw::simd_isa_name(sw::detected_simd_isa())
                     << " simd_backend=" << sw::active_simd_backend();
-}
-
-std::vector<double> MultiDeviceEngine::balance_weights() const {
-  std::vector<double> weights;
-  weights.reserve(devices_.size());
-  switch (config_.balance) {
-    case BalanceMode::kEqual:
-      weights.assign(devices_.size(), 1.0);
-      break;
-    case BalanceMode::kSpecGcups:
-      for (const vgpu::Device* device : devices_) {
-        weights.push_back(device->spec().sw_gcups / device->slowdown());
-      }
-      break;
-    case BalanceMode::kCustomWeights:
-      weights = config_.custom_weights;
-      break;
-  }
-  return weights;
 }
 
 AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
@@ -92,12 +64,8 @@ AlignmentPlan MultiDeviceEngine::plan(std::int64_t rows, std::int64_t cols,
   request.block_cols = config_.block_cols;
   request.buffer_capacity = config_.buffer_capacity;
   request.transport = config_.transport;
-  request.default_kernel = config_.kernel;
-  request.weights = balance_weights();
-  request.device_kernels.reserve(devices_.size());
-  for (const vgpu::Device* device : devices_) {
-    request.device_kernels.push_back(device->spec().kernel);
-  }
+  request.weights =
+      config_.weights.empty() ? spec_weights(devices_) : config_.weights;
   request.start_block_row = start_block_row;
   return make_plan(request);
 }
@@ -222,7 +190,6 @@ EngineResult MultiDeviceEngine::run_internal(const seq::Sequence& query,
   context.enable_pruning = config_.enable_pruning;
   context.special_row_interval = config_.special_row_interval;
   context.special_rows = config_.special_rows;
-  context.checkpoint_f = config_.checkpoint_f;
   context.progress = config_.progress;
   context.job = config_.job;
   context.device_count = static_cast<int>(plan.device_count());
@@ -239,7 +206,7 @@ EngineResult MultiDeviceEngine::run_internal(const seq::Sequence& query,
     comm::BorderSink* out =
         plan.devices[d].has_downstream ? channels[d].sink.get() : nullptr;
     runners.push_back(std::make_unique<SliceRunner>(
-        context, kernels_[d], *devices_[d], static_cast<int>(d),
+        context, kernel_, *devices_[d], static_cast<int>(d),
         query_bases, subject_bases, plan.devices[d], plan.block_row_count,
         in, out, global_best, plan.start_block_row,
         seed == nullptr ? nullptr : seed->h.data(),

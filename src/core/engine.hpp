@@ -59,26 +59,27 @@ struct EngineConfig {
   /// "simd", "simd16", "simd8", "auto"). Every kernel produces
   /// bit-identical results; they differ in lane width and speed. The
   /// default is sw::default_kernel(): the int8 ladder on a vector
-  /// backend, the row sweep on the scalar one. A device whose spec names
-  /// its own kernel overrides this default for its slice.
+  /// backend, the row sweep on the scalar one. The engine resolves it
+  /// once and every device runs it.
   std::string kernel{sw::default_kernel()};
-  BalanceMode balance = BalanceMode::kSpecGcups;
-  std::vector<double> custom_weights;  // used when balance == kCustomWeights
+
+  /// Column-split weights, one positive entry per device (only the
+  /// ratios matter). Empty = core::spec_weights(devices), i.e.
+  /// DeviceSpec::sw_gcups / slowdown — the same convention as
+  /// sim::SimConfig::weights.
+  std::vector<double> weights;
 
   /// Block pruning (extension, CUDAlign 2.1 technique): skip blocks whose
   /// upper bound cannot beat the best score seen so far. Exact score,
   /// possibly different co-optimal end position.
   bool enable_pruning = false;
 
-  /// Save the H row every `special_row_interval` block rows into
-  /// `special_rows` (0 = off). Extension used by alignment retrieval.
+  /// Save the H and F (vertical gap) rows every `special_row_interval`
+  /// block rows into `special_rows` (0 = off). The rows serve alignment
+  /// retrieval and double as restart checkpoints — the
+  /// incremental-execution feature of the CUDAlign lineage.
   std::int64_t special_row_interval = 0;
   SpecialRowStore* special_rows = nullptr;
-
-  /// Also save the F (vertical gap) values with each special row, making
-  /// the rows usable as restart checkpoints (doubles their size) — the
-  /// incremental-execution feature of the CUDAlign lineage.
-  bool checkpoint_f = false;
 
   /// Progress callback; called concurrently from device threads (must be
   /// thread-safe). Null disables reporting.
@@ -143,7 +144,7 @@ struct RunFailure {
 
 struct EngineResult {
   sw::ScoreResult best;
-  std::string kernel;    // engine-default kernel the run used
+  std::string kernel;    // block kernel every device ran
   std::string simd_isa;  // strongest SIMD ISA detected on the host
   std::int64_t matrix_cells = 0;  // rows * cols of the full matrix
   std::int64_t computed_cells = 0;  // < matrix_cells when pruning fired
@@ -172,8 +173,8 @@ class MultiDeviceEngine {
   [[nodiscard]] EngineResult run(const seq::Sequence& query,
                                  const seq::Sequence& subject);
 
-  /// Resumes an interrupted comparison from a checkpoint row previously
-  /// saved with checkpoint_f = true: recomputes only matrix rows
+  /// Resumes an interrupted comparison from a special row (H and F)
+  /// previously saved by a run: recomputes only matrix rows
   /// (checkpoint_row, end). The returned best covers the *resumed region
   /// only*; combine it with the best recorded before the interruption
   /// using sw::improves. checkpoint_row must lie on a block-row boundary
@@ -204,11 +205,10 @@ class MultiDeviceEngine {
   [[nodiscard]] EngineResult run_internal(const seq::Sequence& query,
                                           const seq::Sequence& subject,
                                           const ResumeSeed* seed);
-  [[nodiscard]] std::vector<double> balance_weights() const;
 
   EngineConfig config_;
   std::vector<vgpu::Device*> devices_;
-  std::vector<sw::BlockKernelFn> kernels_;  // resolved once, per device
+  sw::BlockKernelFn kernel_;  // config_.kernel, resolved once
   RunFailure last_failure_;
 };
 

@@ -39,16 +39,6 @@ DeviceFleet::DeviceFleet(std::vector<std::unique_ptr<vgpu::Device>> devices)
   healthy_.assign(devices_.size(), true);
 }
 
-DeviceFleet::DeviceFleet(const std::vector<vgpu::Device*>& devices)
-    : devices_(devices) {
-  MGPUSW_REQUIRE(!devices_.empty(), "fleet needs at least one device");
-  for (vgpu::Device* device : devices_) {
-    MGPUSW_REQUIRE(device != nullptr, "device pointer is null");
-  }
-  in_use_.assign(devices_.size(), false);
-  healthy_.assign(devices_.size(), true);
-}
-
 DeviceFleet DeviceFleet::from_specs(
     const std::vector<vgpu::DeviceSpec>& specs,
     vgpu::DeviceOptions options) {

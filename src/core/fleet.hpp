@@ -58,19 +58,15 @@ class DeviceLease {
   std::vector<std::size_t> indices_;  // fleet slots backing devices_
 };
 
-/// Owns (or fronts) the devices of one host and arbitrates access.
+/// Owns the devices of one host and arbitrates access.
 ///
 /// acquire(n) blocks until n devices are free AND every earlier acquire
 /// has been served — strict FIFO arrival order, so a wide request (all
 /// devices) cannot be starved by a stream of narrow ones. Thread-safe.
 class DeviceFleet {
  public:
-  /// Owning constructor: the fleet manages device lifetime.
+  /// The fleet owns its devices.
   explicit DeviceFleet(std::vector<std::unique_ptr<vgpu::Device>> devices);
-
-  /// Borrowing constructor for legacy call sites that already own their
-  /// devices; they must outlive the fleet.
-  explicit DeviceFleet(const std::vector<vgpu::Device*>& devices);
 
   /// Convenience: builds and owns one device per spec.
   static DeviceFleet from_specs(const std::vector<vgpu::DeviceSpec>& specs,

@@ -3,20 +3,19 @@
 // An AlignmentPlan is a pure value describing one multi-device
 // comparison: matrix geometry, the block grid, the speed-proportional
 // column partition, the channel topology between neighbouring devices,
-// the kernel each device will run, and (for resumed runs) the seed
-// position. Both the real engine (core::MultiDeviceEngine) and the
-// performance model (sim::simulate_pipeline) build their execution from
-// the same plan, so the slice arithmetic exists in exactly one place —
-// the engine validates the schedule computes correct scores, the
-// simulator projects the same schedule to paper-scale hardware.
+// and (for resumed runs) the seed position. The block kernel is not part
+// of the plan: every device runs the engine's one resolved kernel. Both
+// the real engine (core::MultiDeviceEngine) and the performance model
+// (sim::simulate_pipeline) build their execution from the same plan, so
+// the slice arithmetic exists in exactly one place — the engine
+// validates the schedule computes correct scores, the simulator projects
+// the same schedule to paper-scale hardware.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/partition.hpp"
-#include "sw/kernel.hpp"
 #include "vgpu/spec.hpp"
 
 namespace mgpusw::core {
@@ -37,13 +36,6 @@ inline constexpr std::int64_t kDefaultBlockCols = 2048;
 /// column may be narrower than block_cols.
 inline constexpr std::int64_t kPartitionGranule = 256;
 
-/// How slice widths are chosen for heterogeneous devices.
-enum class BalanceMode {
-  kEqual,          // equal column shares (the naive baseline)
-  kSpecGcups,      // proportional to DeviceSpec::sw_gcups / slowdown
-  kCustomWeights,  // caller-provided weights
-};
-
 enum class Transport {
   kInProcess,  // circular buffer in shared memory
   kTcp,        // loopback TCP sockets with the same framing
@@ -53,7 +45,6 @@ enum class Transport {
 struct SlicePlan {
   ColumnRange slice;               // contiguous subject columns
   std::int64_t block_columns = 0;  // nbc: block columns in the slice
-  std::string kernel;              // registry name this device runs
   bool has_upstream = false;       // receives border chunks from d-1
   bool has_downstream = false;     // sends border chunks to d+1
 
@@ -61,9 +52,7 @@ struct SlicePlan {
 };
 
 /// Inputs to plan construction. Weights are already resolved to one
-/// positive number per device (see balance_weights / profile_weights);
-/// device_kernels may be empty (everyone runs default_kernel) or hold
-/// one entry per device ("" = default).
+/// positive number per device (see spec_weights / profile_weights).
 struct PlanRequest {
   std::int64_t rows = 0;  // query length (cells)
   std::int64_t cols = 0;  // subject length (cells)
@@ -71,9 +60,7 @@ struct PlanRequest {
   std::int64_t block_cols = kDefaultBlockCols;
   std::int64_t buffer_capacity = 16;
   Transport transport = Transport::kInProcess;
-  std::string default_kernel{sw::default_kernel()};
   std::vector<double> weights;
-  std::vector<std::string> device_kernels;
   std::int64_t start_block_row = 0;  // > 0 when resuming from a checkpoint
 };
 
@@ -101,15 +88,15 @@ struct AlignmentPlan {
 
 /// Builds the plan: derives the block grid, partitions the columns
 /// proportionally to the weights (granularity min(block_cols,
-/// kPartitionGranule)), tiles each slice into ceil(slice.cols /
-/// block_cols) block columns, and resolves each device's kernel name
-/// (per-device override or default).
+/// kPartitionGranule)) and tiles each slice into ceil(slice.cols /
+/// block_cols) block columns.
 /// Throws InvalidArgument on inconsistent requests (non-positive
 /// geometry, too many devices for the matrix, weight count mismatch).
 [[nodiscard]] AlignmentPlan make_plan(const PlanRequest& request);
 
-/// Profile weights straight from device specs (sw_gcups), the simulator's
-/// default split and the raw material of BalanceMode::kSpecGcups.
+/// Profile weights straight from device specs (sw_gcups): the simulator's
+/// default split, and the engine's (core::spec_weights) for unthrottled
+/// devices.
 [[nodiscard]] std::vector<double> profile_weights(
     const std::vector<vgpu::DeviceSpec>& devices);
 

@@ -63,13 +63,9 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
                    "checkpoint_interval must be positive");
     config.special_rows = &local_store;
     config.special_row_interval = policy.checkpoint_interval;
-    config.checkpoint_f = true;
   } else {
     MGPUSW_REQUIRE(config.special_row_interval > 0,
                    "recovery needs a positive special_row_interval");
-    MGPUSW_REQUIRE(config.checkpoint_f,
-                   "recovery needs checkpoint_f so special rows can seed "
-                   "restarts");
   }
 
   // Stamp every ProgressEvent with the restart/rebalance counts so
@@ -213,11 +209,9 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
         if (fleet != nullptr) fleet->mark_unhealthy(devices[d]);
         devices.erase(devices.begin() + static_cast<std::ptrdiff_t>(d));
         ordinals.erase(ordinals.begin() + static_cast<std::ptrdiff_t>(d));
-        if (config.balance == BalanceMode::kCustomWeights &&
-            d < config.custom_weights.size()) {
-          config.custom_weights.erase(
-              config.custom_weights.begin() +
-              static_cast<std::ptrdiff_t>(d));
+        if (d < config.weights.size()) {
+          config.weights.erase(config.weights.begin() +
+                               static_cast<std::ptrdiff_t>(d));
         }
         // Keep the measured rates parallel to the shrunken pool.
         if (rebalance_stop && d < new_weights.size()) {
@@ -255,9 +249,8 @@ RecoveryResult run_with_recovery(const EngineConfig& base_config,
       // so the answer stays bit-identical (same recovery invariant as a
       // device-loss restart).
       rebalance_count->fetch_add(1, std::memory_order_relaxed);
-      config.balance = BalanceMode::kCustomWeights;
-      config.custom_weights = normalize_weights(std::move(new_weights));
-      rebalanced_weights = config.custom_weights;
+      config.weights = normalize_weights(std::move(new_weights));
+      rebalanced_weights = config.weights;
       MGPUSW_LOG(kInfo) << "recovery: rebalance "
                         << rebalance_count->load(std::memory_order_relaxed)
                         << ", observed imbalance "

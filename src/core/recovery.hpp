@@ -108,14 +108,16 @@ class RecoveryExhaustedError : public Error {
 ///
 /// `config.special_rows` may be null — recovery then checkpoints into a
 /// private in-memory store per `policy.checkpoint_interval`. A non-null
-/// store must have checkpoint_f = true and a positive interval.
+/// store must come with a positive interval. A lost device's entry in a
+/// non-empty `config.weights` is dropped with it, so the survivors keep
+/// their given ratios.
 ///
 /// When `config.rebalance.enabled`, each attempt runs under a
 /// RebalanceController fed by the progress stream: if the observed
 /// per-device cell rates say the column split is lopsided beyond
 /// `rebalance.min_imbalance`, the run is stopped cooperatively and
 /// restarted from the newest checkpoint with the measured rates as
-/// custom weights. Rebalance restarts consume the same max_restarts
+/// `weights`. Rebalance restarts consume the same max_restarts
 /// budget as failures and are counted in RecoveryResult::rebalances;
 /// the recovered result stays bit-identical either way.
 ///

@@ -40,13 +40,11 @@ void SpecialRowCapture::save(std::int64_t block_row, std::int64_t last_row,
   store_->save_segment(
       last_row, c0_global,
       std::vector<sw::Score>(bottom_h, bottom_h + width),
-      save_f_ ? std::vector<sw::Score>(bottom_f, bottom_f + width)
-              : std::vector<sw::Score>{});
+      std::vector<sw::Score>(bottom_f, bottom_f + width));
   if (scope_.metrics != nullptr) {
     scope_.metrics->counter("checkpoint.segments_saved").increment();
     scope_.metrics->counter("checkpoint.bytes")
-        .add(static_cast<std::int64_t>((save_f_ ? 2 : 1) * width *
-                                       sizeof(sw::Score)));
+        .add(static_cast<std::int64_t>(2 * width * sizeof(sw::Score)));
   }
 }
 
@@ -172,8 +170,7 @@ SliceRunner::SliceRunner(const RunnerContext& context,
                 static_cast<std::int64_t>(query.size())),
       pruner_(context.scheme, static_cast<std::int64_t>(query.size()),
               static_cast<std::int64_t>(subject.size())),
-      special_rows_(context.special_row_interval, context.special_rows,
-                    context.checkpoint_f),
+      special_rows_(context.special_row_interval, context.special_rows),
       global_best_(global_best),
       start_block_row_(start_block_row),
       seed_h_(seed_h),

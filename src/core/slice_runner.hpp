@@ -130,7 +130,6 @@ struct RunnerContext {
   bool enable_pruning = false;
   std::int64_t special_row_interval = 0;
   SpecialRowStore* special_rows = nullptr;
-  bool checkpoint_f = false;
   std::function<void(const ProgressEvent&)> progress;
   std::string job;  // threaded into every ProgressEvent
   /// Devices participating in the run; stamped into every ProgressEvent
@@ -192,14 +191,12 @@ class BlockPruner {
   std::int64_t cols_;
 };
 
-/// Saves the H (and optionally F) row every `interval` block rows — the
-/// special-row store feeding alignment retrieval and restart
-/// checkpoints.
+/// Saves the H and F rows every `interval` block rows — the special-row
+/// store feeding alignment retrieval and restart checkpoints.
 class SpecialRowCapture {
  public:
-  SpecialRowCapture(std::int64_t interval, SpecialRowStore* store,
-                    bool save_f)
-      : interval_(interval), store_(store), save_f_(save_f) {}
+  SpecialRowCapture(std::int64_t interval, SpecialRowStore* store)
+      : interval_(interval), store_(store) {}
 
   /// Attaches tracing/metrics. save() runs on the driver thread that owns
   /// `profiler` (null = no phase profiling) and charges it the
@@ -222,7 +219,6 @@ class SpecialRowCapture {
  private:
   std::int64_t interval_ = 0;
   SpecialRowStore* store_ = nullptr;
-  bool save_f_ = false;
   obs::Scope scope_;
   obs::PhaseProfiler* profiler_ = nullptr;
 };

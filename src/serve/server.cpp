@@ -778,7 +778,6 @@ void AlignServer::run_job(const std::shared_ptr<Job>& job) {
   item.label = job->label;
   item.query = job->query;
   item.subject = job->subject;
-  item.priority = job->priority;
   item.cancel = &job->cancel;
   if (journaling) {
     // Checkpoints go to the job's directory under the journal so the

@@ -13,7 +13,6 @@ DeviceSpec gtx_560_ti() {
       .sw_gcups = 33.0,
       .pcie_gbytes_per_s = 3.0,
       .pcie_latency_us = 8.0,
-      .kernel = {},
   };
 }
 
@@ -26,7 +25,6 @@ DeviceSpec gtx_580() {
       .sw_gcups = 50.0,
       .pcie_gbytes_per_s = 3.2,
       .pcie_latency_us = 8.0,
-      .kernel = {},
   };
 }
 
@@ -39,7 +37,6 @@ DeviceSpec gtx_680() {
       .sw_gcups = 57.5,
       .pcie_gbytes_per_s = 5.5,
       .pcie_latency_us = 6.0,
-      .kernel = {},
   };
 }
 
@@ -52,7 +49,6 @@ DeviceSpec tesla_m2090() {
       .sw_gcups = 46.0,
       .pcie_gbytes_per_s = 3.0,
       .pcie_latency_us = 10.0,
-      .kernel = {},
   };
 }
 
@@ -65,7 +61,6 @@ DeviceSpec toy_device(double gcups) {
       .sw_gcups = gcups,
       .pcie_gbytes_per_s = 1.0,
       .pcie_latency_us = 5.0,
-      .kernel = {},
   };
 }
 

@@ -24,7 +24,6 @@
 namespace mgpusw {
 namespace {
 
-using core::BalanceMode;
 using core::EngineConfig;
 using core::EngineResult;
 using core::MultiDeviceEngine;
@@ -83,8 +82,7 @@ TEST(EngineConfigTest, RejectsBadConfigs) {
   }
   {
     EngineConfig config = small_config();
-    config.balance = BalanceMode::kCustomWeights;
-    config.custom_weights = {1.0, 2.0};  // one device only
+    config.weights = {1.0, 2.0};  // one device only
     EXPECT_THROW(MultiDeviceEngine(config, fleet.pointers()),
                  InvalidArgument);
   }
@@ -178,7 +176,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(EngineTest, EqualBalanceMatchesToo) {
   DeviceFleet fleet(3);
   EngineConfig config = small_config();
-  config.balance = BalanceMode::kEqual;
+  config.weights = {1.0, 1.0, 1.0};
   MultiDeviceEngine engine(config, fleet.pointers());
   auto [a, b] = testutil::related_pair(400, 9);
   EXPECT_EQ(engine.run(a, b).best, linear_score(config.scheme, a, b));
@@ -187,8 +185,7 @@ TEST(EngineTest, EqualBalanceMatchesToo) {
 TEST(EngineTest, CustomWeightsRespectedInPartition) {
   DeviceFleet fleet(2);
   EngineConfig config = small_config();
-  config.balance = BalanceMode::kCustomWeights;
-  config.custom_weights = {1.0, 3.0};
+  config.weights = {1.0, 3.0};
   MultiDeviceEngine engine(config, fleet.pointers());
   const core::AlignmentPlan plan = engine.plan(3200, 3200);
   EXPECT_NEAR(static_cast<double>(plan.devices[1].slice.cols) /
@@ -307,10 +304,12 @@ TEST(EngineFuzzTest, RandomConfigurationsAreExact) {
     config.buffer_capacity = rng.next_range(1, 8);
     const auto& registry = sw::kernel_registry();
     config.kernel = registry[rng.next_below(registry.size())].name;
-    config.balance = rng.next_bool(0.5) ? BalanceMode::kSpecGcups
-                                        : BalanceMode::kEqual;
+    const bool equal_weights = rng.next_bool(0.5);
 
     const auto device_count = static_cast<int>(rng.next_range(1, 4));
+    if (equal_weights) {
+      config.weights.assign(static_cast<std::size_t>(device_count), 1.0);
+    }
     DeviceFleet fleet(device_count, 5.0 + rng.next_double() * 20.0,
                       rng.next_double() * 10.0);
 
@@ -347,24 +346,6 @@ TEST(EngineKernelTest, SimdKernelIsExactAcrossDevices) {
   EXPECT_EQ(result.kernel, "simd");
   EXPECT_EQ(result.simd_isa,
             sw::simd_isa_name(sw::detected_simd_isa()));
-}
-
-TEST(EngineKernelTest, PerDeviceSpecOverrideIsExact) {
-  // Heterogeneous kernels: device 0 keeps the engine default (row),
-  // device 1 runs the SIMD kernel on its slice. The split must still be
-  // invisible in the result.
-  std::vector<std::unique_ptr<vgpu::Device>> devices;
-  vgpu::DeviceSpec plain = vgpu::toy_device(10.0);
-  vgpu::DeviceSpec simd = vgpu::toy_device(10.0);
-  simd.kernel = "simd";
-  devices.push_back(std::make_unique<vgpu::Device>(plain));
-  devices.push_back(std::make_unique<vgpu::Device>(simd));
-  const std::vector<vgpu::Device*> ptrs = {devices[0].get(),
-                                           devices[1].get()};
-  MultiDeviceEngine engine(small_config(), ptrs);
-  auto [a, b] = testutil::related_pair(400, 23);
-  EXPECT_EQ(engine.run(a, b).best,
-            linear_score(sw::ScoreScheme{}, a, b));
 }
 
 TEST(EngineKernelTest, LowPrecisionLadderIsExactAndCountsReruns) {
@@ -409,14 +390,6 @@ TEST(EngineKernelTest, NarrowKernelsAreExactAcrossDevices) {
     EXPECT_EQ(result.best, linear_score(config.scheme, a, b)) << kernel;
     EXPECT_EQ(result.kernel, kernel);
   }
-}
-
-TEST(EngineKernelTest, RejectsUnknownPerDeviceKernel) {
-  vgpu::DeviceSpec bad = vgpu::toy_device(10.0);
-  bad.kernel = "tensor-core";
-  vgpu::Device device(bad);
-  const std::vector<vgpu::Device*> ptrs = {&device};
-  EXPECT_THROW(MultiDeviceEngine(small_config(), ptrs), InvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

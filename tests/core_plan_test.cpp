@@ -55,16 +55,6 @@ TEST(PlanTest, SlicesTileTheMatrix) {
   EXPECT_FALSE(plan.devices.back().has_downstream);
 }
 
-TEST(PlanTest, KernelResolution) {
-  PlanRequest request = basic_request();
-  request.default_kernel = "row";
-  request.device_kernels = {"", "simd16", ""};
-  const AlignmentPlan plan = make_plan(request);
-  EXPECT_EQ(plan.devices[0].kernel, "row");
-  EXPECT_EQ(plan.devices[1].kernel, "simd16");
-  EXPECT_EQ(plan.devices[2].kernel, "row");
-}
-
 TEST(PlanTest, ResumeStartRow) {
   PlanRequest request = basic_request();
   request.start_block_row = 10;
@@ -95,11 +85,6 @@ TEST(PlanTest, RejectsBadRequests) {
   {
     PlanRequest request = basic_request();
     request.weights.clear();
-    EXPECT_THROW((void)make_plan(request), InvalidArgument);
-  }
-  {
-    PlanRequest request = basic_request();
-    request.device_kernels = {"row"};  // 1 kernel for 3 weights
     EXPECT_THROW((void)make_plan(request), InvalidArgument);
   }
   {
@@ -228,8 +213,9 @@ TEST(SharedPlanTest, SimulatorExecutesEnginePlan) {
   sim_config.devices = specs;
 
   // The engine's plan and the simulator's own derivation must be the
-  // same value: BalanceMode::kSpecGcups uses spec().sw_gcups exactly as
-  // profile_weights does (no slowdown configured here).
+  // same value: the engine's default core::spec_weights uses
+  // spec().sw_gcups exactly as profile_weights does (no slowdown
+  // configured here).
   const sim::SimResult from_engine_plan =
       sim::simulate_pipeline(sim_config, plan);
   const sim::SimResult from_config = sim::simulate_pipeline(sim_config);

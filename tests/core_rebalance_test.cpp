@@ -195,8 +195,7 @@ EngineConfig misbalanced_config(const std::string& kernel) {
   config.block_cols = 32;
   config.kernel = kernel;
   // The mis-calibration: a 4:1 split over two equal-speed devices.
-  config.balance = core::BalanceMode::kCustomWeights;
-  config.custom_weights = {4.0, 1.0};
+  config.weights = {4.0, 1.0};
   config.rebalance.enabled = true;
   config.rebalance.check_every_rows = 2;
   config.rebalance.min_imbalance = 0.5;
@@ -247,7 +246,7 @@ TEST(RebalanceE2ETest, MidRunThrottleTriggersRebalance) {
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
-  config.balance = core::BalanceMode::kEqual;
+  config.weights = {1.0, 1.0};
   config.rebalance.enabled = true;
   config.rebalance.check_every_rows = 4;
   config.rebalance.min_imbalance = 0.5;
@@ -320,7 +319,7 @@ TEST(RebalanceE2ETest, BalancedRunNeverRestarts) {
   EngineConfig config;
   config.block_rows = 32;
   config.block_cols = 32;
-  config.balance = core::BalanceMode::kEqual;
+  config.weights = {1.0, 1.0};
   config.rebalance.enabled = true;
   config.rebalance.check_every_rows = 2;
 

@@ -57,6 +57,17 @@ struct Pool3 {
   std::vector<vgpu::Device*> all() { return {&d0, &d1, &d2}; }
 };
 
+/// Pool3's three device profiles, owned by a fleet; `devices` receives
+/// the raw pointers, in fleet order, for the tests to assert on.
+DeviceFleet fleet3(std::vector<vgpu::Device*>& devices) {
+  std::vector<std::unique_ptr<vgpu::Device>> owned;
+  for (const double gcups : {10.0, 16.0, 22.0}) {
+    owned.push_back(std::make_unique<vgpu::Device>(vgpu::toy_device(gcups)));
+    devices.push_back(owned.back().get());
+  }
+  return DeviceFleet(std::move(owned));
+}
+
 // ---------------------------------------------------------------------------
 // Headline: injected mid-run device death on a 3-device heterogeneous
 // pool completes on the surviving 2 and is bit-identical to an unfailed
@@ -97,6 +108,28 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param == core::Transport::kInProcess ? "Ring"
                                                                    : "Tcp");
     });
+
+TEST(RecoveryTest, CallerWeightsDropTheDeadDevicesEntry) {
+  // Caller weights 3:1:2 against spec weights 10:16:22. When device 1
+  // dies, its weight leaves with it: the survivors split 3:2, so device 0
+  // gets the wider slice, which the spec weights would give device 2.
+  auto [a, b] = testutil::related_pair(320, 212);
+  EngineConfig config = small_blocks(core::Transport::kInProcess);
+  config.weights = {3.0, 1.0, 2.0};
+  FaultInjector injector(parse_fault_plan("dev1:die@kernel=12"));
+  config.fault = &injector;
+
+  Pool3 pool;
+  const RecoveryResult recovered =
+      run_with_recovery(config, pool.all(), a, b);
+
+  EXPECT_EQ(recovered.result.best, sw::linear_score(config.scheme, a, b));
+  EXPECT_TRUE(injector.device_dead(1));
+  EXPECT_EQ(recovered.restarts, 1);
+  ASSERT_EQ(recovered.result.devices.size(), 2u);
+  EXPECT_GT(recovered.result.devices[0].slice.cols,
+            recovered.result.devices[1].slice.cols);
+}
 
 TEST(RecoveryTest, DefaultGeometryDeathResumesBitIdentically) {
   // All-default engine config on a homolog pair. Device 1, the last of
@@ -278,23 +311,23 @@ TEST(RecoveryTest, ProgressEventsCarryRestartCounts) {
 // Fleet health
 
 TEST(FleetHealthTest, UnhealthyDevicesAreNeverLeased) {
-  Pool3 pool;
-  DeviceFleet fleet(pool.all());
+  std::vector<vgpu::Device*> devices;
+  DeviceFleet fleet = fleet3(devices);
   EXPECT_EQ(fleet.healthy_count(), 3u);
-  fleet.mark_unhealthy(&pool.d1);
+  fleet.mark_unhealthy(devices[1]);
   EXPECT_EQ(fleet.healthy_count(), 2u);
   EXPECT_EQ(fleet.available(), 2u);
 
   core::DeviceLease lease = fleet.acquire(2);
   for (vgpu::Device* device : lease.devices()) {
-    EXPECT_NE(device, &pool.d1);
+    EXPECT_NE(device, devices[1]);
   }
 }
 
 TEST(FleetHealthTest, AcquireBeyondHealthyCountThrows) {
-  Pool3 pool;
-  DeviceFleet fleet(pool.all());
-  fleet.mark_unhealthy(&pool.d0);
+  std::vector<vgpu::Device*> devices;
+  DeviceFleet fleet = fleet3(devices);
+  fleet.mark_unhealthy(devices[0]);
   EXPECT_THROW((void)fleet.acquire(3), Error);
   EXPECT_EQ(fleet.try_acquire(3), std::nullopt);
   // The FIFO head moved past the failed request; later acquires work.
@@ -322,8 +355,8 @@ TEST(BatchRecoveryTest, BatchSurvivesDeviceDeathOnDegradedPool) {
         sw::linear_score(sw::ScoreScheme{}, item.query, item.subject));
   }
 
-  Pool3 pool;
-  DeviceFleet fleet(pool.all());
+  std::vector<vgpu::Device*> devices;
+  DeviceFleet fleet = fleet3(devices);
   // The last-armed device (ordinal 2) dies during the first item.
   FaultInjector injector(parse_fault_plan("dev2:die@kernel=10"));
   BatchConfig config;
@@ -340,7 +373,7 @@ TEST(BatchRecoveryTest, BatchSurvivesDeviceDeathOnDegradedPool) {
   EXPECT_EQ(batch.items[1].result.best, expected[1]);
   EXPECT_EQ(batch.items[0].restarts, 1);
   ASSERT_EQ(batch.items[0].lost_devices.size(), 1u);
-  EXPECT_EQ(batch.items[0].lost_devices[0], pool.d2.spec().name);
+  EXPECT_EQ(batch.items[0].lost_devices[0], devices[2]->spec().name);
   EXPECT_EQ(batch.items[1].restarts, 0);
   EXPECT_EQ(fleet.healthy_count(), 2u);
   // The second item ran on the surviving two devices.
@@ -375,7 +408,6 @@ TEST(RecoveryTest, ResumeSpecFromDiskCheckpointIsBitIdentical) {
   EngineConfig first_config = reference_config;
   first_config.special_rows = &store;
   first_config.special_row_interval = 2;
-  first_config.checkpoint_f = true;
   first_config.progress = [&](const core::ProgressEvent& event) {
     std::lock_guard<std::mutex> lock(mu);
     safe[event.device_index] = {event.safe_row, event.best};
@@ -412,7 +444,6 @@ TEST(RecoveryTest, ResumeSpecFromDiskCheckpointIsBitIdentical) {
   EngineConfig second_config = reference_config;
   second_config.special_rows = &revived;
   second_config.special_row_interval = 2;
-  second_config.checkpoint_f = true;
   const RecoveryResult second = run_with_recovery(
       second_config, pool.all(), a, b, RecoveryPolicy{},
       /*fleet=*/nullptr, &resume);

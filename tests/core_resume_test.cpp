@@ -28,7 +28,6 @@ EngineConfig checkpointing_config(SpecialRowStore* store) {
   config.block_cols = 32;
   config.special_row_interval = 2;  // checkpoint every 64 rows
   config.special_rows = store;
-  config.checkpoint_f = true;
   return config;
 }
 
@@ -135,13 +134,19 @@ TEST(ResumeTest, RejectsCheckpointAtMatrixEnd) {
 }
 
 TEST(ResumeTest, RejectsRowsSavedWithoutF) {
+  // Engines save F with every special row, but a store revived from old
+  // or foreign spill files may hold H-only rows: complete in coverage,
+  // yet unable to seed a restart.
   auto [a, b] = testutil::related_pair(320, 144);
-  vgpu::Device device(vgpu::toy_device(10.0));
+  const auto cols = static_cast<std::size_t>(b.size());
   SpecialRowStore store;
-  EngineConfig config = checkpointing_config(&store);
-  config.checkpoint_f = false;  // retrieval-only special rows
-  MultiDeviceEngine engine(config, {&device});
-  (void)engine.run(a, b);
+  store.save_segment(63, 0, std::vector<sw::Score>(cols / 2, 0));
+  store.save_segment(63, static_cast<std::int64_t>(cols / 2),
+                     std::vector<sw::Score>(cols - cols / 2, 0));
+  EXPECT_EQ(store.last_restartable_row(b.size(), a.size() - 1), -1);
+
+  vgpu::Device device(vgpu::toy_device(10.0));
+  MultiDeviceEngine engine(checkpointing_config(&store), {&device});
   EXPECT_THROW((void)engine.resume(a, b, store, 63), InternalError);
 }
 

@@ -61,7 +61,6 @@ TEST(IntegrationTest, PruningKeepsSpecialRowsGapFree) {
   config.enable_pruning = true;
   config.special_row_interval = 2;
   config.special_rows = &store;
-  config.checkpoint_f = true;
   MultiDeviceEngine engine(config, fleet.pointers);
   const auto full = engine.run(s, s);
   EXPECT_EQ(full.best.score, 640);  // self comparison

@@ -1,6 +1,6 @@
 // Tests for the alignment service: protocol framing (round-trips and
 // malformed-frame hardening), the quota-aware job queue, the batch
-// scheduler's priority/callback hooks, and the daemon end to end
+// scheduler's cancel hooks, and the daemon end to end
 // (concurrent tenants, quotas, progress streaming, cancel at every
 // state, injected device death with a bit-identical final score).
 #include <sys/socket.h>
@@ -351,34 +351,6 @@ core::DeviceFleet make_fleet(int n) {
         std::make_unique<vgpu::Device>(vgpu::toy_device(1.0)));
   }
   return core::DeviceFleet(std::move(devices));
-}
-
-TEST(BatchHooks, PriorityOrdersAdmissionAndCallbackFires) {
-  core::DeviceFleet fleet = make_fleet(1);
-  std::vector<core::BatchItem> items;
-  for (int i = 0; i < 3; ++i) {
-    core::BatchItem item;
-    item.label = "item" + std::to_string(i);
-    item.query = tiny_seq("q");
-    item.subject = tiny_seq("s");
-    item.priority = i;  // later items have higher priority
-    items.push_back(std::move(item));
-  }
-  std::vector<std::size_t> done_order;
-  core::BatchConfig config;
-  config.engine.block_rows = 32;
-  config.engine.block_cols = 32;
-  config.max_in_flight = 1;
-  config.on_item_done = [&done_order](std::size_t index,
-                                      const core::BatchItemResult&,
-                                      std::exception_ptr error) {
-    EXPECT_EQ(error, nullptr);
-    done_order.push_back(index);
-  };
-  const core::BatchResult result = core::run_batch(config, fleet, items);
-  EXPECT_EQ(result.items.size(), 3u);
-  ASSERT_EQ(done_order.size(), 3u);
-  EXPECT_EQ(done_order, (std::vector<std::size_t>{2, 1, 0}));
 }
 
 TEST(BatchHooks, CancelFlagStopsItemWithInterruptedError) {
