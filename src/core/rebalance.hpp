@@ -14,7 +14,7 @@
 //
 // run_with_recovery owns the controller: when it trips, the run stops
 // cooperatively, the remaining rows are re-split with the *measured*
-// rates as custom weights, and the restart resumes from the newest
+// rates as EngineConfig::weights, and the restart resumes from the newest
 // checkpoint through the exact machinery device-loss recovery uses — so
 // a rebalanced run is bit-identical to an unrebalanced one.
 //
